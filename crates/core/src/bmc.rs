@@ -409,6 +409,39 @@ mod tests {
         assert!(result.verdict.is_unsafe(), "{:?}", result.verdict);
     }
 
+    /// Ratchet on the array programs whose unrolled read-over-write chains
+    /// once cold-solved every leaf of their case-split trees: each stays
+    /// `unknown`, within its cold-simplex ceiling, and ends at the depth
+    /// bound instead of on the solver's case-split budget.
+    #[test]
+    fn array_programs_prune_case_splits_on_the_warm_tableau() {
+        let suite = |name: &str| {
+            corpus::suite_programs()
+                .into_iter()
+                .find(|(entry, _)| entry.name == name)
+                .unwrap_or_else(|| panic!("suite program {name}"))
+                .1
+        };
+        let cases = [
+            ("INITCHECK", corpus::initcheck(), 748),
+            ("PARTITION", corpus::partition(), 1_278),
+            ("suite/init_check", suite("init_check"), 710),
+            ("suite/init_const", suite("init_const"), 709),
+        ];
+        for (name, program, max_cold) in cases {
+            let result = BmcEngine::default().verify(&program).unwrap();
+            let Verdict::Unknown { reason } = &result.verdict else {
+                panic!("{name}: expected unknown, got {:?}", result.verdict);
+            };
+            assert!(reason.contains("truncated"), "{name}: {reason}");
+            assert!(
+                result.stats.simplex_calls <= max_cold,
+                "{name}: {} cold simplex builds, ceiling {max_cold}",
+                result.stats.simplex_calls
+            );
+        }
+    }
+
     #[test]
     fn syntactically_unreachable_error_is_safe_without_search() {
         let p = parse_program("proc ok(x: int) { x = 1; }").unwrap();

@@ -50,17 +50,6 @@ pub struct ContextStats {
     pub cache_entries: u64,
 }
 
-impl ContextStats {
-    /// Cache hit rate in `[0, 1]`; `0` when no query was issued.
-    pub fn hit_rate(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.queries as f64
-        }
-    }
-}
-
 /// An incremental context: a scoped assumption stack plus a keyed cache of
 /// boolean query results, on top of the (stateless, deterministic)
 /// combined [`Solver`].
@@ -127,11 +116,6 @@ impl SolverContext {
             queries: Cell::new(0),
             hits: Cell::new(0),
         }
-    }
-
-    /// Whether query results are being cached.
-    pub fn is_caching(&self) -> bool {
-        self.caching
     }
 
     /// Opens a new assumption frame.
@@ -225,11 +209,6 @@ impl SolverContext {
         }
     }
 
-    /// Drops every cached result (the counters are kept).
-    pub fn clear_cache(&mut self) {
-        self.cache.borrow_mut().clear();
-    }
-
     /// Answers a boolean query through the cache.  The key couples the query
     /// kind and the interned query formula with the hash-consed identity of
     /// the full assumption stack, so an answer is only ever replayed for an
@@ -294,7 +273,6 @@ mod tests {
         assert_eq!(stats.queries, 2);
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.cache_entries, 1);
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -352,16 +330,5 @@ mod tests {
         assert!(!ctx.is_sat_with(&lt("x", 0)).unwrap());
         assert_eq!(ctx.num_assumptions(), 1);
         assert!(ctx.is_sat().unwrap());
-    }
-
-    #[test]
-    fn clear_cache_forces_resolving() {
-        let mut ctx = SolverContext::new();
-        ctx.assume(ge("x", 1));
-        assert!(ctx.entails(&ge("x", 0)).unwrap());
-        ctx.clear_cache();
-        assert_eq!(ctx.stats().cache_entries, 0);
-        assert!(ctx.entails(&ge("x", 0)).unwrap());
-        assert_eq!(ctx.stats().cache_hits, 0);
     }
 }

@@ -71,8 +71,6 @@ pub use error::{SmtError, SmtResult};
 pub use interpolate::{interpolant_from_certificate, sequence_interpolants, SequenceInterpolator};
 pub use linexpr::{ConstrOp, LinConstraint, LinExpr};
 pub use rat::{DeltaRat, Rat};
-pub use simplex::{
-    entails as lra_entails, solve as lra_solve, FarkasCertificate, IncrementalSimplex, LpResult,
-};
+pub use simplex::{solve as lra_solve, FarkasCertificate, IncrementalSimplex, LpResult};
 pub use solver::{IntSatResult, Model, SatResult, Solver};
 pub use stats::{snapshot as stats_snapshot, SmtStats};

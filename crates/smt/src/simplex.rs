@@ -34,22 +34,6 @@ impl<K: Ord + Clone> LpResult<K> {
     pub fn is_sat(&self) -> bool {
         matches!(self, LpResult::Sat(_))
     }
-
-    /// Returns the model if satisfiable.
-    pub fn model(&self) -> Option<&BTreeMap<K, Rat>> {
-        match self {
-            LpResult::Sat(m) => Some(m),
-            LpResult::Unsat(_) => None,
-        }
-    }
-
-    /// Returns the certificate if unsatisfiable.
-    pub fn certificate(&self) -> Option<&FarkasCertificate> {
-        match self {
-            LpResult::Sat(_) => None,
-            LpResult::Unsat(c) => Some(c),
-        }
-    }
 }
 
 /// A Farkas certificate of infeasibility: one multiplier per input

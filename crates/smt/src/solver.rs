@@ -19,21 +19,19 @@
 //! by the simplex solver with integer tightening of strict inequalities.
 //!
 //! The boolean structure is decided by a DPLL-style search over the NNF
-//! skeleton (`CubeSearch`) instead of eager DNF expansion: atoms decided
-//! so far form a *cube prefix*, disjunctions are unit-resolved against the
-//! prefix, the prefix's theory-consistency is checked (and memoized under
-//! its hash-consed atom-set id) before every case split, and a
-//! theory-inconsistent prefix prunes its entire subtree of cubes at once.
-//! On the quantified queries of the array programs this replaces the
-//! exponential cube enumeration — the old enumerator exhausted the
-//! case-split budget on BUGGY_INITCHECK — with a search whose budget
-//! consumption tracks the theory work actually performed.
+//! skeleton (`CubeSearch`): decided atoms form a *cube prefix*,
+//! disjunctions are unit-resolved against it, and the prefix is checked
+//! for theory consistency (memoized under its hash-consed atom-set id)
+//! before every case split, so an inconsistent prefix prunes its whole
+//! subtree of cubes.  Each theory check is a case-split tree over
+//! disequalities and reads over writes (`SplitTree`) whose branches are
+//! pruned on one warm tableau holding the tree's linear relaxation.
 
 use crate::congruence::CongruenceClosure;
 use crate::error::{SmtError, SmtResult};
 use crate::linexpr::{LinConstraint, LinExpr};
 use crate::rat::Rat;
-use crate::simplex::{solve as lra_solve, IncrementalSimplex};
+use crate::simplex::IncrementalSimplex;
 use pathinv_ir::{Atom, Formula, FormulaId, RelOp, SeqId, Symbol, Term, VarRef};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
@@ -164,11 +162,6 @@ impl Solver {
         }
     }
 
-    /// Decides satisfiability of a conjunction of formulas.
-    pub fn check_conjunction(&self, fs: &[Formula]) -> SmtResult<SatResult> {
-        self.check(&Formula::and(fs.to_vec()))
-    }
-
     /// Decides satisfiability *over the integers* by branch-and-bound on top
     /// of the rational relaxation.
     ///
@@ -272,131 +265,10 @@ impl Solver {
         self.entails(&Formula::True, f)
     }
 
-    /// Decides a conjunction of ground atoms by recursive case splitting:
-    /// disequalities, then read-over-write, then the base theory combination.
+    /// Decides a conjunction of ground atoms by recursive case splitting
+    /// (see [`SplitTree`]).
     fn solve_atoms(&self, atoms: Vec<Atom>, budget: &Cell<usize>) -> SmtResult<Option<Model>> {
-        crate::cancel::check_ambient()?;
-        if budget.get() == 0 {
-            return Err(SmtError::Budget {
-                message: "case-split budget exhausted in the combined solver".into(),
-            });
-        }
-        budget.set(budget.get() - 1);
-
-        // 0. Conflict-driven pruning: when a non-trivial case-split tree is
-        //    coming up, first check the *linear relaxation* of the
-        //    conjunction (disequalities dropped, reads abstracted, no
-        //    functionality) with one simplex call.  An unsatisfiable
-        //    relaxation refutes every branch of the split tree at once —
-        //    this is what keeps the SSA path formulas of deeply unrolled
-        //    counterexamples (a disequality per store step) from burning the
-        //    case-split budget on arithmetic that is already contradictory.
-        //    A single pending disequality is split directly: its two
-        //    branches cost about as much as the relaxation itself, and on a
-        //    satisfiable query the relaxation along the witnessing branch is
-        //    pure overhead.  Two or more disequalities mean a four-leaf (or
-        //    larger) split tree, where one pruning call is always worth it —
-        //    and the read-over-write chains of unrolled array programs renew
-        //    their disequality supply at every miss step, so deep chains
-        //    keep qualifying.
-        let ne_count = atoms.iter().filter(|a| a.op == RelOp::Ne).count();
-        if ne_count >= 2 && !self.relaxation_is_sat(&atoms)? {
-            return Ok(None);
-        }
-
-        // 1. Split the first disequality.
-        if let Some(pos) = atoms.iter().position(|a| a.op == RelOp::Ne) {
-            let a = atoms[pos].clone();
-            for op in [RelOp::Lt, RelOp::Gt] {
-                let mut branch = atoms.clone();
-                branch[pos] = Atom::new(a.lhs.clone(), op, a.rhs.clone());
-                if let Some(m) = self.solve_atoms(branch, budget)? {
-                    return Ok(Some(m));
-                }
-            }
-            return Ok(None);
-        }
-
-        // 2. Resolve array aliases and collect store definitions.
-        let (atoms, defs) = normalise_arrays(atoms)?;
-
-        // 3. Find a read over a written array and split on the index.
-        if let Some((target, base, idx, val)) = find_read_over_write(&atoms, &defs) {
-            let written_idx = idx.clone();
-            // Case A: the read hits the written cell.
-            {
-                let mut branch: Vec<Atom> = atoms
-                    .iter()
-                    .map(|a| a.map_terms(&|t| replace_subterm(t, &target, &val)))
-                    .collect();
-                let read_idx = match &target {
-                    Term::Select(_, i) => (**i).clone(),
-                    _ => unreachable!("target is always a select"),
-                };
-                branch.push(Atom::new(read_idx, RelOp::Eq, written_idx.clone()));
-                branch.extend(defs_as_atoms(&defs));
-                if let Some(m) = self.solve_atoms(branch, budget)? {
-                    return Ok(Some(m));
-                }
-            }
-            // Case B: the read misses the written cell.
-            {
-                let read_idx = match &target {
-                    Term::Select(_, i) => (**i).clone(),
-                    _ => unreachable!("target is always a select"),
-                };
-                let redirected = base.select(read_idx.clone());
-                let mut branch: Vec<Atom> = atoms
-                    .iter()
-                    .map(|a| a.map_terms(&|t| replace_subterm(t, &target, &redirected)))
-                    .collect();
-                branch.push(Atom::new(read_idx, RelOp::Ne, written_idx));
-                branch.extend(defs_as_atoms(&defs));
-                if let Some(m) = self.solve_atoms(branch, budget)? {
-                    return Ok(Some(m));
-                }
-            }
-            return Ok(None);
-        }
-
-        // 4. Base case: no disequalities, no reads over writes.
-        self.solve_base(&atoms, budget)
-    }
-
-    /// The linear relaxation of a ground conjunction: disequalities are
-    /// dropped, array reads and applications are abstracted by fresh
-    /// variables (identical reads share one, a congruence-lite that costs
-    /// nothing), store structure is ignored, and the remaining linear
-    /// skeleton is decided with a single simplex call.  Every dropped or
-    /// weakened constraint only *removes* information, so `false` certifies
-    /// the original conjunction unsatisfiable; `true` says nothing.
-    ///
-    /// Atoms outside the linear fragment (non-linear products, array-sorted
-    /// equalities) are *skipped*, not errored: skipping only weakens the
-    /// relaxation further, and the strict path must stay the sole source of
-    /// `NonLinear` errors — it may legitimately refute such a cube through
-    /// the congruence pre-filter without ever reaching the linear
-    /// converter.
-    ///
-    /// # Errors
-    ///
-    /// Propagates arithmetic overflow.
-    fn relaxation_is_sat(&self, atoms: &[Atom]) -> SmtResult<bool> {
-        let mut instances: Vec<Instance> = Vec::new();
-        let mut constraints: Vec<LinConstraint<VarRef>> = Vec::new();
-        for a in atoms {
-            if a.op == RelOp::Ne {
-                continue;
-            }
-            let lhs = abstract_term(&a.lhs, &mut instances);
-            let rhs = abstract_term(&a.rhs, &mut instances);
-            match LinConstraint::from_atom(&Atom::new(lhs, a.op, rhs)) {
-                Ok(c) => constraints.push(c.tighten_for_integers()?),
-                Err(SmtError::SortMismatch { .. } | SmtError::NonLinear { .. }) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(lra_solve(&constraints)?.is_sat())
+        SplitTree { solver: self, budget, relaxation: None }.node(atoms, None)
     }
 
     /// Base-case theory combination: congruence pre-filter, abstraction of
@@ -452,13 +324,7 @@ impl Solver {
         budget: &Cell<usize>,
         fresh: bool,
     ) -> SmtResult<Option<Model>> {
-        crate::cancel::check_ambient()?;
-        if budget.get() == 0 {
-            return Err(SmtError::Budget {
-                message: "case-split budget exhausted while enforcing functionality".into(),
-            });
-        }
-        budget.set(budget.get() - 1);
+        spend_branch(budget, "while enforcing functionality")?;
         let sat = if fresh { tab.check_fresh()? } else { tab.check()? };
         if !sat {
             return Ok(None);
@@ -534,6 +400,189 @@ impl Solver {
             }
         }
         Ok(Some(Model { values: model }))
+    }
+}
+
+/// One case-split tree of [`Solver::solve_atoms`]: disequalities split
+/// into `<`/`>`, reads over writes into hit/miss, every leaf decided cold
+/// by [`Solver::solve_base`].  The tree's [`Relaxation`] is built lazily,
+/// at the first node with two or more pending disequalities or after the
+/// first failed hit branch (on an unrolled store chain every miss adds one
+/// disequality, split at once); from then on every branch is warm-checked
+/// on it before the search descends, and an infeasible branch is pruned
+/// with its subtree.  Pruned subtrees hold no satisfiable leaf, so the
+/// first satisfiable leaf, and its model, is the unpruned search's.
+struct SplitTree<'s> {
+    solver: &'s Solver,
+    budget: &'s Cell<usize>,
+    relaxation: Option<Relaxation>,
+}
+
+/// Spends one case-split branch, polling cancellation first.
+fn spend_branch(budget: &Cell<usize>, place: &str) -> SmtResult<()> {
+    crate::cancel::check_ambient()?;
+    let left = budget.get().checked_sub(1).ok_or_else(|| SmtError::Budget {
+        message: format!("case-split budget exhausted {place}"),
+    })?;
+    budget.set(left);
+    Ok(())
+}
+
+/// A split-tree node's atoms and its ancestors', from which a relaxation
+/// built mid-tree replays the path from the root.
+struct PathNode<'a> {
+    atoms: &'a [Atom],
+    parent: Option<&'a PathNode<'a>>,
+    depth: usize,
+}
+
+impl SplitTree<'_> {
+    fn node(&mut self, atoms: Vec<Atom>, parent: Option<&PathNode>) -> SmtResult<Option<Model>> {
+        spend_branch(self.budget, "in the combined solver")?;
+        let depth = parent.map_or(0, |p| p.depth + 1);
+
+        // 1. Split the first disequality.
+        if let Some(pos) = atoms.iter().position(|a| a.op == RelOp::Ne) {
+            let here = PathNode { atoms: &atoms, parent, depth };
+            if self.relaxation.is_none()
+                && atoms.iter().filter(|a| a.op == RelOp::Ne).count() >= 2
+                && !self.relaxation.insert(Relaxation::build(&here)?).is_feasible()?
+            {
+                return Ok(None);
+            }
+            let a = &atoms[pos];
+            for op in [RelOp::Lt, RelOp::Gt] {
+                let mut branch = atoms.clone();
+                branch[pos] = Atom::new(a.lhs.clone(), op, a.rhs.clone());
+                if let Some(m) = self.branch(branch, &here)? {
+                    return Ok(Some(m));
+                }
+            }
+            return Ok(None);
+        }
+
+        // 2. Resolve array aliases and collect store definitions.
+        let (atoms, defs) = normalise_arrays(atoms)?;
+
+        // 3. Split a read over a written array: it hits the written cell
+        //    or misses it and reads the base array.
+        if let Some((target, base, written_idx, val)) = find_read_over_write(&atoms, &defs) {
+            let here = PathNode { atoms: &atoms, parent, depth };
+            let Term::Select(_, read_idx) = &target else {
+                unreachable!("target is always a select")
+            };
+            let case = |replacement: &Term, op: RelOp| -> Vec<Atom> {
+                atoms
+                    .iter()
+                    .map(|a| a.map_terms(&|t| replace_subterm(t, &target, replacement)))
+                    .chain([Atom::new((**read_idx).clone(), op, written_idx.clone())])
+                    .chain(defs_as_atoms(&defs))
+                    .collect()
+            };
+            if let Some(m) = self.branch(case(&val, RelOp::Eq), &here)? {
+                return Ok(Some(m));
+            }
+            if self.relaxation.is_none() {
+                self.relaxation = Some(Relaxation::build(&here)?);
+            }
+            return self.branch(case(&base.select((**read_idx).clone()), RelOp::Ne), &here);
+        }
+
+        // 4. Base case: no disequalities, no reads over writes.
+        self.solver.solve_base(&atoms, self.budget)
+    }
+
+    /// Searches one child of `parent`, pruning it first if a live
+    /// relaxation refutes it.
+    fn branch(&mut self, atoms: Vec<Atom>, parent: &PathNode) -> SmtResult<Option<Model>> {
+        let depth = parent.depth + 1;
+        if let Some(relaxation) = &mut self.relaxation {
+            relaxation.push_level(&atoms)?;
+            if !relaxation.is_feasible()? {
+                relaxation.truncate(depth)?;
+                return Ok(None);
+            }
+        }
+        let found = self.node(atoms, Some(parent))?;
+        // Also drops levels of a relaxation built inside the child's subtree.
+        if let Some(relaxation) = &mut self.relaxation {
+            relaxation.truncate(depth)?;
+        }
+        Ok(found)
+    }
+}
+
+/// The linear relaxation of one root-to-node path of a [`SplitTree`], on a
+/// live tableau: disequalities dropped, reads and applications abstracted
+/// by variables shared across the tree (identical reads share one), atoms
+/// outside the linear fragment skipped, so the leaves stay the sole source
+/// of `NonLinear` errors.  Each step only removes information, and each
+/// branch refines its parent (a rewritten read equals its replacement
+/// under the branch's index constraint), so an infeasible relaxation
+/// refutes the node's whole subtree.
+///
+/// `levels[d]` is the checkpoint before depth `d`'s atoms, and
+/// `on_tableau` maps each pushed atom to its depth, so no atom is pushed
+/// twice on one path.
+#[derive(Default)]
+struct Relaxation {
+    tab: IncrementalSimplex<VarRef>,
+    instances: Vec<Instance>,
+    on_tableau: HashMap<Atom, usize>,
+    levels: Vec<usize>,
+    /// Whether the tableau was checked since it was built; the first check
+    /// is a cold solve.
+    checked: bool,
+}
+
+impl Relaxation {
+    /// Builds the relaxation of the path from the root to `node`.
+    fn build(node: &PathNode) -> SmtResult<Relaxation> {
+        let path: Vec<&[Atom]> =
+            std::iter::successors(Some(node), |n| n.parent).map(|n| n.atoms).collect();
+        let mut relaxation = Relaxation::default();
+        for atoms in path.into_iter().rev() {
+            relaxation.push_level(atoms)?;
+        }
+        Ok(relaxation)
+    }
+
+    /// Opens the next path level with the atoms not yet on the tableau.
+    fn push_level(&mut self, atoms: &[Atom]) -> SmtResult<()> {
+        let depth = self.levels.len();
+        self.levels.push(self.tab.checkpoint());
+        for a in atoms {
+            if a.op == RelOp::Ne || self.on_tableau.contains_key(a) {
+                continue;
+            }
+            let lhs = abstract_term(&a.lhs, &mut self.instances);
+            let rhs = abstract_term(&a.rhs, &mut self.instances);
+            match LinConstraint::from_atom(&Atom::new(lhs, a.op, rhs)) {
+                Ok(c) => self.tab.push_constraint(&c.tighten_for_integers()?)?,
+                Err(SmtError::SortMismatch { .. } | SmtError::NonLinear { .. }) => {}
+                Err(e) => return Err(e),
+            }
+            self.on_tableau.insert(a.clone(), depth);
+        }
+        Ok(())
+    }
+
+    /// Drops the path levels at `depth` and below.
+    fn truncate(&mut self, depth: usize) -> SmtResult<()> {
+        if let Some(&checkpoint) = self.levels.get(depth) {
+            self.levels.truncate(depth);
+            self.on_tableau.retain(|_, d| *d < depth);
+            self.tab.pop_to(checkpoint)?;
+        }
+        Ok(())
+    }
+
+    fn is_feasible(&mut self) -> SmtResult<bool> {
+        if std::mem::replace(&mut self.checked, true) {
+            self.tab.check()
+        } else {
+            self.tab.check_fresh()
+        }
     }
 }
 
@@ -1255,7 +1304,7 @@ mod tests {
     fn relaxation_skips_nonlinear_atoms_instead_of_erroring() {
         // The strict path refutes this cube through the congruence
         // pre-filter / the equality contradiction without ever converting
-        // the non-linear atom; the relaxation guard (triggered by the two
+        // the non-linear atom; the relaxation (built at the node with two
         // disequalities) must not turn that into a NonLinear error.
         let s = solver();
         let f = F::and(vec![

@@ -4,8 +4,9 @@
 //! with both refiners, bounded model checking, and PDR-lite — in parallel,
 //! through the same harness the `pathinv-cli` binary uses, and diffs the
 //! deterministic outcome fields — verdict, refinement count, solver calls,
-//! cache hits, and the per-engine exploration counters per
-//! (program, engine, refiner) task — against the committed snapshot in
+//! cold simplex builds, cache hits, and the per-engine exploration
+//! counters per (program, engine, refiner) task — against the committed
+//! snapshot in
 //! `tests/golden/corpus.json`.  Any PR that flips a verdict, changes how
 //! many refinements a proof needs, or regresses the solver-call discipline
 //! fails here immediately.  The same run feeds the differential check: no
@@ -32,6 +33,7 @@ struct Outcome {
     verdict: String,
     refinements: i64,
     solver_calls: i64,
+    simplex_calls: i64,
     query_cache_hits: i64,
     post_cache_hits: i64,
     engine_depth: i64,
@@ -67,6 +69,7 @@ fn outcomes_from_golden_json(doc: &Json) -> OutcomeMap {
             verdict: field("verdict"),
             refinements: int_field("refinements"),
             solver_calls: int_field("solver_calls"),
+            simplex_calls: int_field("simplex_calls"),
             query_cache_hits: int_field("query_cache_hits"),
             post_cache_hits: int_field("post_cache_hits"),
             engine_depth: int_field("engine_depth"),
