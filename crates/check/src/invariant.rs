@@ -21,6 +21,7 @@ use crate::certificate::{CertVerdict, InvariantCert};
 use crate::refute::{CheckLimits, Refutation, Refuter};
 use pathinv_ir::ssa::{encode_action, rename_to_versions, VersionMap};
 use pathinv_ir::{Formula, Program};
+use std::collections::BTreeMap;
 
 /// Checks the three inductive-invariant obligations for `cert` on
 /// `program`.
@@ -122,9 +123,13 @@ fn consecution(refuter: &mut Refuter, pre: &Formula, tau: &Formula, post: &Formu
 ///
 /// When the target invariant is a disjunction, the abstract post of a source
 /// state is covered by a *single* target disjunct (the ART's coverage
-/// structure), so the entailment is first tried per target disjunct — a
-/// linear number of cheap conjunctive queries — before falling back to the
-/// general (branching) refutation.
+/// structure), so coverage is first tried disjunct by disjunct, in order.  A
+/// disjunct `c₁ ∧ … ∧ cₖ` covers the source iff every `source ∧ tau ∧ ¬cᵢ`
+/// is refuted (exact: the negated conjunction is the disjunction of the
+/// negated conjuncts), and the disjuncts share most of their conjuncts, so
+/// each distinct conjunct is refuted at most once per source and transition.
+/// Only a source that no single disjunct covers falls back to the general
+/// (branching) refutation.
 fn consecution_from(
     refuter: &mut Refuter,
     source: &Formula,
@@ -132,12 +137,20 @@ fn consecution_from(
     post: &Formula,
 ) -> Refutation {
     if let Formula::Or(parts) = post {
+        let mut known: BTreeMap<Formula, Refutation> = BTreeMap::new();
         for part in parts {
-            let query = Formula::and(vec![source.clone(), tau.clone(), part.clone().not()]);
-            match refuter.refute(&query) {
-                Refutation::Refuted => return Refutation::Refuted,
-                Refutation::NotRefuted => {}
-                Refutation::Budget => return Refutation::Budget,
+            let mut verdict = Refutation::Refuted;
+            for c in part.conjuncts() {
+                let negated = c.clone().not();
+                verdict = *known.entry(c).or_insert_with(|| {
+                    refuter.refute(&Formula::and(vec![source.clone(), tau.clone(), negated]))
+                });
+                if verdict != Refutation::Refuted {
+                    break;
+                }
+            }
+            if verdict != Refutation::NotRefuted {
+                return verdict;
             }
         }
     }
@@ -154,7 +167,6 @@ mod tests {
     use super::*;
     use crate::certificate::CertVerdict;
     use pathinv_ir::{parse_program, Loc, Term};
-    use std::collections::BTreeMap;
 
     /// `proc count(n) { i = 0; while (i < n) i = i + 1; assert(i >= n) }`
     /// with the textbook invariant `i <= n` at the loop head... the parsed

@@ -19,9 +19,9 @@
 //!
 //! Transformations used, each annotated with its soundness argument:
 //!
-//! * **Negation + skolemization** ([`negated_nnf`]): negation is pushed to
+//! * **Negation + skolemization** (`negated_nnf`): negation is pushed to
 //!   the atoms; a *negated* universal quantifier becomes an existential,
-//!   whose bound variables are replaced by fresh constants
+//!   whose bound variables are replaced by constants new to the query
 //!   (equisatisfiable).
 //! * **Tableau branching**: disjunctions branch; a formula is refuted only
 //!   when *every* branch is refuted (equivalence).
@@ -32,10 +32,13 @@
 //! * **Array reduction**: SSA store equations `a' = a{i := v}` are
 //!   substituted (equivalence), `a{i := v}[j]` is split into the `i = j` and
 //!   `i ≠ j` cases (equivalence), and any remaining `Select`/`App` term is
-//!   abstracted by a fresh integer variable, identical terms sharing the
-//!   variable (weakening).
+//!   abstracted by an integer variable new to the leaf, identical terms
+//!   sharing the variable (weakening).
 //! * **Disequality split**: `s ≠ t` on integer terms becomes the `s < t` /
-//!   `s > t` branches (equivalence over a totally ordered domain).
+//!   `s > t` branches (equivalence over a totally ordered domain) — tried
+//!   only after Fourier–Motzkin fails to refute the node's relaxation
+//!   without its disequalities (a weakening), so a node that closes without
+//!   them never pays the `2ᵈ` leaves of its `d` disequalities.
 //! * **Integer normalization**: strict inequalities with integer
 //!   coefficients are tightened (`e < 0` to `e + 1 ≤ 0`), coefficients are
 //!   divided by their gcd with the constant floored, and an equation whose
@@ -101,7 +104,33 @@ pub struct Refuter {
     limits: CheckLimits,
     eliminations_left: usize,
     splits_left: usize,
+    skolems: Reserved,
+    abstractions: Reserved,
 }
+
+/// Reserved names `{prefix}!k` for skolem constants and abstraction
+/// variables, interned on first use and renumbered from 0 in every query or
+/// leaf: `!` cannot occur in a parsed identifier, so they never clash with
+/// program variables, and an audit adds a bounded set of names to the
+/// never-freeing symbol interner instead of one per leaf.
+struct Reserved {
+    prefix: &'static str,
+    names: Vec<Symbol>,
+}
+
+impl Reserved {
+    fn name(&mut self, k: usize) -> Symbol {
+        while self.names.len() <= k {
+            self.names.push(Symbol::intern(&format!("{}!{}", self.prefix, self.names.len())));
+        }
+        self.names[k]
+    }
+}
+
+/// A Fourier–Motzkin variable keyed by elimination rank: program variables
+/// (0) go first, then skolem constants (1), then abstraction variables (2),
+/// whenever the reserved names were interned.
+type FmVar = (u8, VarRef);
 
 /// One tableau branch: accumulated ground literals plus positive universal
 /// quantifiers awaiting instantiation.
@@ -123,12 +152,18 @@ impl Refuter {
             limits: limits.clone(),
             eliminations_left: limits.max_eliminations,
             splits_left: limits.max_splits,
+            skolems: Reserved { prefix: "chk_sk", names: Vec::new() },
+            abstractions: Reserved { prefix: "chk_abs", names: Vec::new() },
         }
     }
 
     /// Attempts to prove `f` unsatisfiable over the integers.
     pub fn refute(&mut self, f: &Formula) -> Refutation {
-        let g = negated_nnf(f, false);
+        let mut next = 0;
+        let g = negated_nnf(f, false, &mut || {
+            next += 1;
+            self.skolems.name(next - 1)
+        });
         let branch = Branch {
             lits: Vec::new(),
             quants: Vec::new(),
@@ -279,9 +314,13 @@ impl Refuter {
             return self.ground_refute(miss, acked);
         }
 
-        // Integer disequality: split into the strict halves.
+        // Integer disequality: split into the strict halves, unless the
+        // relaxation without the disequalities already closes the node.
         if let Some(pos) = lits.iter().position(|a| a.op == RelOp::Ne && is_integer_atom(a, &lits))
         {
+            if let Some(settled) = self.fm_settles(&lits) {
+                return settled;
+            }
             if self.splits_left < 2 {
                 return Refutation::Budget;
             }
@@ -297,13 +336,8 @@ impl Refuter {
             return self.ground_refute(gt, acked);
         }
 
-        match self.fm_refute(&lits) {
-            Ok(Refutation::Refuted) => return Refutation::Refuted,
-            Ok(Refutation::Budget) => return Refutation::Budget,
-            // Arithmetic overflow while normalizing, or no contradiction at
-            // this leaf: fall through to the congruence split below (never
-            // claim a refutation we did not complete).
-            Ok(Refutation::NotRefuted) | Err(_) => {}
+        if let Some(settled) = self.fm_settles(&lits) {
+            return settled;
         }
 
         // Select congruence (Ackermann split): two reads of the same array
@@ -344,20 +378,36 @@ impl Refuter {
         self.ground_refute(same, next_acked)
     }
 
+    /// Runs [`Self::fm_refute`]; `Some` when that settles the node (refuted
+    /// or out of budget).  Arithmetic overflow while normalizing settles
+    /// nothing: never claim a refutation we did not complete.
+    fn fm_settles(&mut self, lits: &[Atom]) -> Option<Refutation> {
+        match self.fm_refute(lits) {
+            Ok(settled @ (Refutation::Refuted | Refutation::Budget)) => Some(settled),
+            Ok(Refutation::NotRefuted) | Err(_) => None,
+        }
+    }
+
     /// The arithmetic leaf: abstract residual array/function terms, convert
     /// to linear constraints, and run integer-normalized Fourier–Motzkin
     /// elimination to a ground contradiction.
     fn fm_refute(&mut self, lits: &[Atom]) -> SmtResult<Refutation> {
         let mut abstraction: BTreeMap<Term, VarRef> = BTreeMap::new();
-        let mut cs: Vec<LinConstraint<VarRef>> = Vec::new();
+        let mut cs: Vec<LinConstraint<FmVar>> = Vec::new();
         for a in lits {
-            let lhs = abstract_nonarith(&a.lhs, &mut abstraction);
-            let rhs = abstract_nonarith(&a.rhs, &mut abstraction);
-            // Unconvertible atoms (disequalities over abstracted arrays,
-            // nonlinear products) are dropped: weakening, sound for
-            // refutation.
+            let lhs = abstract_nonarith(&a.lhs, &mut abstraction, &mut self.abstractions);
+            let rhs = abstract_nonarith(&a.rhs, &mut abstraction, &mut self.abstractions);
+            // Unconvertible atoms (disequalities, nonlinear products) are
+            // dropped: weakening, sound for refutation.
             if let Ok(c) = LinConstraint::from_atom(&Atom::new(lhs, a.op, rhs)) {
-                cs.push(c);
+                let rank = |v: &VarRef| {
+                    u8::from(self.skolems.names.contains(&v.sym))
+                        + 2 * u8::from(self.abstractions.names.contains(&v.sym))
+                };
+                cs.push(LinConstraint::new(
+                    c.expr.substitute(&|v| LinExpr::var((rank(v), *v)))?,
+                    c.op,
+                ));
             }
         }
         loop {
@@ -442,10 +492,10 @@ impl Refuter {
 }
 
 /// Negation normal form with skolemization: negation is pushed to the atoms
-/// and a negated `∀` becomes fresh constants for its bound variables.  This
-/// is the checker's replacement for [`Formula::nnf`], which refuses negated
-/// quantifiers.
-pub fn negated_nnf(f: &Formula, neg: bool) -> Formula {
+/// and a negated `∀` becomes constants new to the query (drawn from
+/// `skolem`) for its bound variables.  This is the checker's replacement for
+/// [`Formula::nnf`], which refuses negated quantifiers.
+fn negated_nnf(f: &Formula, neg: bool, skolem: &mut impl FnMut() -> Symbol) -> Formula {
     match f {
         Formula::True => {
             if neg {
@@ -462,9 +512,9 @@ pub fn negated_nnf(f: &Formula, neg: bool) -> Formula {
             }
         }
         Formula::Atom(a) => Formula::Atom(if neg { a.negated() } else { a.clone() }),
-        Formula::Not(inner) => negated_nnf(inner, !neg),
+        Formula::Not(inner) => negated_nnf(inner, !neg, skolem),
         Formula::And(parts) => {
-            let mapped: Vec<_> = parts.iter().map(|p| negated_nnf(p, neg)).collect();
+            let mapped: Vec<_> = parts.iter().map(|p| negated_nnf(p, neg, skolem)).collect();
             if neg {
                 Formula::or(mapped)
             } else {
@@ -472,7 +522,7 @@ pub fn negated_nnf(f: &Formula, neg: bool) -> Formula {
             }
         }
         Formula::Or(parts) => {
-            let mapped: Vec<_> = parts.iter().map(|p| negated_nnf(p, neg)).collect();
+            let mapped: Vec<_> = parts.iter().map(|p| negated_nnf(p, neg, skolem)).collect();
             if neg {
                 Formula::and(mapped)
             } else {
@@ -481,23 +531,23 @@ pub fn negated_nnf(f: &Formula, neg: bool) -> Formula {
         }
         Formula::Implies(a, b) => {
             if neg {
-                Formula::and(vec![negated_nnf(a, false), negated_nnf(b, true)])
+                Formula::and(vec![negated_nnf(a, false, skolem), negated_nnf(b, true, skolem)])
             } else {
-                Formula::or(vec![negated_nnf(a, true), negated_nnf(b, false)])
+                Formula::or(vec![negated_nnf(a, true, skolem), negated_nnf(b, false, skolem)])
             }
         }
         Formula::Forall(vs, body) => {
             if neg {
-                // ¬∀k.φ ≡ ∃k.¬φ: replace each bound variable by a fresh
-                // constant (equisatisfiable skolemization).
+                // ¬∀k.φ ≡ ∃k.¬φ: replace each bound variable by a constant
+                // new to the query (equisatisfiable skolemization).
                 let mut g = (**body).clone();
                 for v in vs {
-                    let sk = Symbol::fresh("chk");
+                    let sk = skolem();
                     g = g.map_terms(&|t| t.subst_bound(*v, &Term::Var(VarRef::cur(sk))));
                 }
-                negated_nnf(&g, true)
+                negated_nnf(&g, true, skolem)
             } else {
-                Formula::Forall(vs.clone(), Box::new(negated_nnf(body, false)))
+                Formula::Forall(vs.clone(), Box::new(negated_nnf(body, false, skolem)))
             }
         }
     }
@@ -658,43 +708,37 @@ fn is_integer_atom(a: &Atom, lits: &[Atom]) -> bool {
     true
 }
 
-/// Replaces each maximal `Select`/`Store`/`App` subterm by a fresh integer
-/// variable, identical subterms sharing the variable (a refutation-sound
-/// weakening: the abstraction has at least the models of the original).
-fn abstract_nonarith(t: &Term, map: &mut BTreeMap<Term, VarRef>) -> Term {
+/// Replaces each maximal `Select`/`Store`/`App` subterm by an integer
+/// variable new to the leaf (the `k`-th distinct subterm by `names.name(k)`),
+/// identical subterms sharing the variable (a refutation-sound weakening: the
+/// abstraction has at least the models of the original).
+fn abstract_nonarith(t: &Term, map: &mut BTreeMap<Term, VarRef>, names: &mut Reserved) -> Term {
+    if let Term::Select(..) | Term::Store(..) | Term::App(..) = t {
+        let next = map.len();
+        return Term::Var(*map.entry(t.clone()).or_insert_with(|| VarRef::cur(names.name(next))));
+    }
+    let mut sub = |x: &Term| Box::new(abstract_nonarith(x, map, names));
     match t {
-        Term::Select(..) | Term::Store(..) | Term::App(..) => {
-            let next = map.len();
-            let v = *map
-                .entry(t.clone())
-                .or_insert_with(|| VarRef::cur(Symbol::fresh(&format!("chk_abs{next}"))));
-            Term::Var(v)
-        }
-        Term::Const(_) | Term::Var(_) | Term::Bound(_) => t.clone(),
-        Term::Add(a, b) => {
-            Term::Add(Box::new(abstract_nonarith(a, map)), Box::new(abstract_nonarith(b, map)))
-        }
-        Term::Sub(a, b) => {
-            Term::Sub(Box::new(abstract_nonarith(a, map)), Box::new(abstract_nonarith(b, map)))
-        }
-        Term::Neg(a) => Term::Neg(Box::new(abstract_nonarith(a, map))),
-        Term::Mul(a, b) => {
-            Term::Mul(Box::new(abstract_nonarith(a, map)), Box::new(abstract_nonarith(b, map)))
-        }
+        Term::Add(a, b) => Term::Add(sub(a), sub(b)),
+        Term::Sub(a, b) => Term::Sub(sub(a), sub(b)),
+        Term::Neg(a) => Term::Neg(sub(a)),
+        Term::Mul(a, b) => Term::Mul(sub(a), sub(b)),
+        // Constants and variables (the non-arithmetic terms returned above).
+        _ => t.clone(),
     }
 }
 
 enum Normalized {
     /// The constraint has no integer solution (gcd test).
     Unsat,
-    Constraint(LinConstraint<VarRef>),
+    Constraint(LinConstraint<FmVar>),
 }
 
 /// Scales a constraint to integer coefficients, tightens strict
 /// inequalities, divides by the coefficient gcd with a floored constant, and
 /// applies the gcd test to equations.  Preserves exactly the integer
 /// solutions.
-fn normalize_integer(c: &LinConstraint<VarRef>) -> SmtResult<Normalized> {
+fn normalize_integer(c: &LinConstraint<FmVar>) -> SmtResult<Normalized> {
     // Scale to integer coefficients.
     let mut scale: i128 = 1;
     let mut denoms: Vec<i128> = c.expr.terms().map(|(_, r)| r.denom()).collect();

@@ -123,3 +123,26 @@ fn all_engines_emit_replayable_trace_certificates_in_the_same_format() {
         assert!(!trace.steps.is_empty(), "{label}: empty step sequence");
     }
 }
+
+/// Split-budget ratchet on the checker's two most split-hungry corpus
+/// audits.  FORWARD's invariant disjuncts carry five disequalities each;
+/// splitting a disequality only when the relaxation fails, and refuting
+/// each consecution conjunct once, gets both audits through 548 and 651
+/// splits, while eager splits with whole-disjunct queries need 15,441 and
+/// 13,845 — the budget of 1,500 separates the two.
+#[test]
+fn forward_certificates_validate_within_a_small_split_budget() {
+    let limits = CheckLimits { max_splits: 1_500, ..Default::default() };
+    let programs: Vec<_> = corpus_programs()
+        .into_iter()
+        .filter(|(name, _)| name == "FORWARD" || name == "suite/forward")
+        .collect();
+    assert_eq!(programs.len(), 2);
+    for (name, program) in programs {
+        let result = Verifier::path_invariants().verify(&program).unwrap();
+        assert!(matches!(result.verdict, Verdict::Safe), "{name}: {:?}", result.verdict);
+        let cert = result.certificate.expect("a safe verdict carries a certificate");
+        let v = check_certificate(&program, &cert, &limits);
+        assert!(v.is_valid(), "{name}: {:?}", v.reason());
+    }
+}
