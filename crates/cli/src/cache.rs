@@ -37,8 +37,9 @@
 //!   later inserts are not re-attempted (and not re-warned).
 //! * **Seeded fault injection.**  [`CacheChaos`] makes the journal lie on
 //!   purpose — torn writes, failed writes, slow writes — deterministically
-//!   from a seed, so the `chaos-smoke` harness (DESIGN.md §15) can prove
-//!   the recovery story against an actively hostile disk.
+//!   from a seed, so the chaos phase of the `serve-smoke` harness
+//!   (DESIGN.md §15) can prove the recovery story against an actively
+//!   hostile disk.
 //!
 //! Only deterministic outcomes are admitted
 //! ([`pathinv_core::JobOutcome::is_cacheable`]): `safe`/`unsafe`/`unknown`

@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod chaos;
 pub mod differential;
 pub mod experiments;
 pub mod fuzz;

@@ -23,7 +23,6 @@ USAGE:
     pathinv-cli fuzz [FUZZ OPTIONS]
     pathinv-cli serve [SERVE OPTIONS]
     pathinv-cli serve-smoke [SMOKE OPTIONS]
-    pathinv-cli chaos-smoke [CHAOS OPTIONS]
 
 ARGS:
     FILE.pinv ...          front-end source files to verify alongside/instead
@@ -42,19 +41,16 @@ SUBCOMMANDS:
                            workers, per-job deadlines, a crash-safe persistent
                            verdict cache, and graceful SIGTERM/shutdown drain
                            (see DESIGN.md section 14 for the protocol)
-    serve-smoke            spawn a real serve daemon and drive the end-to-end
-                           robustness scenario against it: cold + warm corpus
-                           passes with parity checks, injected malformed and
-                           panicking jobs, SIGTERM drain, and a warm restart
-                           from the surviving cache journal; exits 1 on any
-                           contract violation
-    chaos-smoke            spawn a real serve daemon under --isolate process
-                           with seeded fault injection (--chaos) and hammer it
-                           with hostile probes (aborting, panicking, hogging,
-                           spinning engines, malformed lines); hard-fails if
-                           the daemon dies, any submission is dropped or
-                           duplicated, any verdict diverges from the
-                           fresh-process reference, or the drain is unclean
+    serve-smoke            spawn real serve daemons and check the service
+                           contracts from outside in two phases, every corpus
+                           verdict against a fresh-process reference: a thread
+                           phase (cold deck with a panicking job and a
+                           malformed line, an all-cached warm pass, SIGTERM
+                           drain, all-cached restart over the journal) and a
+                           chaos phase (--isolate process --chaos: hostile
+                           deck, breaker wave, stats, protocol shutdown,
+                           chaos-free restart); exits 1 on any dropped or
+                           duplicated answer or other contract violation
 
 SERVE OPTIONS:
     --socket <PATH>        listen on a Unix socket instead of stdin/stdout
@@ -89,18 +85,10 @@ SERVE OPTIONS:
                            all derived from the seed
 
 SMOKE OPTIONS:
-    --json <PATH>          write the warm-vs-cold benchmark artifact (`-` =
-                           stdout)
-    --workers <N>          worker threads for the spawned daemon (default: 4)
-    --quiet                suppress per-phase progress
-
-CHAOS OPTIONS:
-    --seed <N>             seed for the probe deck and the daemon's fault
+    --seed <N>             seed for the decks and the chaos daemon's fault
                            schedule (default: 42); a failing run replays
                            exactly under the same seed
-    --json <PATH>          write the availability artifact (`-` = stdout)
-    --workers <N>          worker threads for the spawned daemon (default: 2)
-    --quiet                suppress per-phase progress
+    --json <PATH>          write both phases' numbers (`-` = stdout)
 
 FUZZ OPTIONS:
     --seed <N>             campaign seed (default: 0)
@@ -416,40 +404,25 @@ fn bless(jobs: usize) -> ExitCode {
         return ExitCode::FAILURE;
     }
     trajectory.race = Some(race);
-    eprintln!("blessing: daemon warm-vs-cold pass over the source corpus...");
-    let serve = pathinv_cli::serve::bench_serve(jobs.min(4));
-    if !serve.parity_failures.is_empty() {
-        eprintln!(
-            "error: daemon warm pass contradicts the cold pass; refusing to bless:\n  {}",
-            serve.parity_failures.join("\n  ")
-        );
-        return ExitCode::FAILURE;
-    }
-    if serve.warm_hits < serve.programs as u64 {
-        eprintln!(
-            "error: daemon warm pass hit the persistent cache only {} of {} times; \
-             refusing to bless",
-            serve.warm_hits, serve.programs
-        );
-        return ExitCode::FAILURE;
-    }
-    trajectory.serve = Some(serve);
-    eprintln!("blessing: supervision pass (process-isolation overhead + seeded chaos)...");
-    let mut supervision = pathinv_cli::serve::bench_supervision(jobs.min(4));
-    let chaos_opts =
-        pathinv_cli::chaos::ChaosOptions { seed: 42, json_path: None, workers: 2, verbose: false };
-    match pathinv_cli::chaos::run_chaos(&chaos_opts) {
-        Ok(stats) => {
-            supervision.chaos_submitted = stats.submitted;
-            supervision.chaos_answered = stats.answered;
-            supervision.chaos_quarantined = stats.quarantined;
-            supervision.availability = stats.availability();
-        }
+    eprintln!("blessing: daemon harness (thread-phase cold/warm timings, chaos availability)...");
+    let smoke = match pathinv_cli::smoke::run_serve_smoke(42, false) {
+        Ok(smoke) => smoke,
         Err(msg) => {
-            eprintln!("error: chaos pass failed; refusing to bless: {msg}");
+            eprintln!("error: serve-smoke harness failed; refusing to bless: {msg}");
             return ExitCode::FAILURE;
         }
-    }
+    };
+    trajectory.serve = Some(pathinv_cli::trajectory::ServeBench {
+        programs: smoke.programs,
+        cold_ms: smoke.cold_ms,
+        warm_ms: smoke.warm_restart_ms,
+    });
+    eprintln!("blessing: supervision pass (process-isolation overhead)...");
+    let mut supervision = pathinv_cli::serve::bench_supervision(jobs.min(4));
+    supervision.chaos_submitted = smoke.chaos.submitted;
+    supervision.chaos_answered = smoke.chaos.answered;
+    supervision.chaos_quarantined = smoke.chaos.quarantined;
+    supervision.availability = smoke.chaos.availability();
     trajectory.supervision = Some(supervision);
     let errors = trajectory
         .cached
@@ -787,25 +760,20 @@ fn serve_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// The `serve-smoke` subcommand: the end-to-end daemon robustness scenario.
+/// The `serve-smoke` subcommand: the two-phase daemon harness.
 fn serve_smoke_main(args: &[String]) -> ExitCode {
-    let mut opts = pathinv_cli::smoke::SmokeOptions::default();
+    let (mut seed, mut json_path) = (42, None);
     let mut it = args.iter();
     let mut parse = || -> Result<(), String> {
         while let Some(arg) = it.next() {
             let mut value_for =
                 |flag: &str| it.next().cloned().ok_or_else(|| format!("{flag} requires a value"));
             match arg.as_str() {
-                "--json" => opts.json_path = Some(value_for("--json")?),
-                "--workers" => {
-                    let v = value_for("--workers")?;
-                    let n: usize = v.parse().map_err(|_| format!("bad --workers `{v}`"))?;
-                    if n == 0 {
-                        return Err("--workers must be at least 1".to_string());
-                    }
-                    opts.workers = n;
+                "--seed" => {
+                    let v = value_for("--seed")?;
+                    seed = v.parse().map_err(|_| format!("bad --seed `{v}`"))?;
                 }
-                "--quiet" => opts.verbose = false,
+                "--json" => json_path = Some(value_for("--json")?),
                 other => return Err(format!("unknown serve-smoke option `{other}`")),
             }
         }
@@ -815,65 +783,29 @@ fn serve_smoke_main(args: &[String]) -> ExitCode {
         eprintln!("error: {msg}\n\n{USAGE}");
         return ExitCode::from(2);
     }
-    match pathinv_cli::smoke::run_serve_smoke(&opts) {
-        Ok(()) => {
-            eprintln!("serve-smoke: all contracts held");
-            ExitCode::SUCCESS
-        }
+    let report = match pathinv_cli::smoke::run_serve_smoke(seed, true) {
+        Ok(report) => report,
         Err(msg) => {
             eprintln!("error: serve-smoke failed: {msg}");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
-    }
-}
-
-/// The `chaos-smoke` subcommand: the seeded fault-injection scenario.
-fn chaos_smoke_main(args: &[String]) -> ExitCode {
-    let mut opts = pathinv_cli::chaos::ChaosOptions::default();
-    let mut it = args.iter();
-    let mut parse = || -> Result<(), String> {
-        while let Some(arg) = it.next() {
-            let mut value_for =
-                |flag: &str| it.next().cloned().ok_or_else(|| format!("{flag} requires a value"));
-            match arg.as_str() {
-                "--seed" => {
-                    let v = value_for("--seed")?;
-                    opts.seed = v.parse().map_err(|_| format!("bad --seed `{v}`"))?;
-                }
-                "--json" => opts.json_path = Some(value_for("--json")?),
-                "--workers" => {
-                    let v = value_for("--workers")?;
-                    let n: usize = v.parse().map_err(|_| format!("bad --workers `{v}`"))?;
-                    if n == 0 {
-                        return Err("--workers must be at least 1".to_string());
-                    }
-                    opts.workers = n;
-                }
-                "--quiet" => opts.verbose = false,
-                other => return Err(format!("unknown chaos-smoke option `{other}`")),
-            }
-        }
-        Ok(())
     };
-    if let Err(msg) = parse() {
-        eprintln!("error: {msg}\n\n{USAGE}");
-        return ExitCode::from(2);
-    }
-    match pathinv_cli::chaos::run_chaos(&opts) {
-        Ok(stats) => {
-            eprintln!(
-                "chaos-smoke: all contracts held ({}/{} answered, availability {:.4})",
-                stats.answered,
-                stats.submitted,
-                stats.availability()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(msg) => {
-            eprintln!("error: chaos-smoke failed: {msg}");
-            ExitCode::FAILURE
+    if let Some(path) = json_path {
+        let text = report.to_json().pretty();
+        if path == "-" {
+            print!("{text}");
+        } else if let Err(e) = std::fs::write(&path, text) {
+            eprintln!("error: cannot write {path}: {e}");
+            return ExitCode::FAILURE;
         }
     }
+    eprintln!(
+        "serve-smoke: all contracts held (chaos phase {}/{} answered, availability {:.4})",
+        report.chaos.answered,
+        report.chaos.submitted,
+        report.chaos.availability()
+    );
+    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
@@ -895,9 +827,6 @@ fn main() -> ExitCode {
     }
     if args.first().map(String::as_str) == Some("serve-smoke") {
         return serve_smoke_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("chaos-smoke") {
-        return chaos_smoke_main(&args[1..]);
     }
     let opts = match parse_args(&args) {
         Ok(opts) => opts,

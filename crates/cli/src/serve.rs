@@ -34,9 +34,10 @@
 //!   `status: "quarantined"` while open, and half-opens after
 //!   `--breaker-cooldown-ms` to admit a single probe.
 //! * **Chaos mode.**  `--chaos seed=N` arms seeded fault injection — torn,
-//!   failed, and slow cache writes plus random worker exits — so the
-//!   `chaos-smoke` harness ([`crate::chaos`]) can prove the daemon survives
-//!   a hostile environment without dying or serving a wrong verdict.
+//!   failed, and slow cache writes plus random worker exits — so the chaos
+//!   phase of the `serve-smoke` harness ([`crate::smoke`]) can prove the
+//!   daemon survives a hostile environment without dying or serving a wrong
+//!   verdict.
 //!
 //! # Protocol
 //!
@@ -1174,119 +1175,13 @@ fn serve_stdin(handle: ServiceHandle) -> i32 {
     0
 }
 
-/// In-process warm-vs-cold daemon benchmark over the source corpus, used
-/// by `--bless` to stamp the `serve` section of the bench point.
-///
-/// Two passes run against the same persistent journal.  The cold pass
-/// verifies every corpus program into an empty cache and is then drained
-/// (journal synced, workers joined).  A second service recovers the
-/// journal from disk — the same path a restarted daemon takes — so the
-/// warm pass measures submissions answered from the recovered cache.
-/// Verdict and certificate-digest parity between the passes is recorded in
-/// [`crate::trajectory::ServeBench::parity_failures`].
-pub fn bench_serve(workers: usize) -> crate::trajectory::ServeBench {
-    struct VecWriter(Arc<Mutex<Vec<u8>>>);
-    impl Write for VecWriter {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().expect("bench buffer poisoned").extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    let corpus = crate::corpus_sources();
-    let cache_path =
-        std::env::temp_dir().join(format!("pathinv-bench-serve-{}.journal", std::process::id()));
-    std::fs::remove_file(&cache_path).ok();
-    let config = ServeConfig {
-        cache_path: Some(cache_path.clone()),
-        workers,
-        queue_capacity: corpus.len().max(16),
-        drain_grace_ms: 120_000,
-        ..ServeConfig::default()
-    };
-
-    // One pass: start a service over the journal, submit the whole corpus,
-    // wait for every response, drain.  Returns (wall_ms, hits, rows) with
-    // rows = (program, verdict, cert_digest) sorted by program.
-    let pass = |label: &str| -> (f64, u64, Vec<(String, String, String)>) {
-        let handle = ServiceHandle::start(&config);
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let out: SharedWriter = Arc::new(Mutex::new(Box::new(VecWriter(Arc::clone(&buf)))));
-        let start = Instant::now();
-        for (i, (name, src)) in corpus.iter().enumerate() {
-            let line = Json::object(vec![
-                ("op", Json::Str("verify".to_string())),
-                ("id", Json::Int(i as i64 + 1)),
-                ("name", Json::Str(name.clone())),
-                ("program", Json::Str(src.clone())),
-            ])
-            .compact();
-            handle.handle_line(&line, &out);
-        }
-        let responses = loop {
-            let text = String::from_utf8(buf.lock().expect("bench buffer poisoned").clone())
-                .expect("responses are UTF-8");
-            let got: Vec<Json> =
-                text.lines().map(|l| json::parse(l).expect("response parses")).collect();
-            if got.len() >= corpus.len() {
-                break got;
-            }
-            assert!(
-                start.elapsed() < Duration::from_secs(600),
-                "bench serve {label} pass timed out with {} of {} responses",
-                got.len(),
-                corpus.len()
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        };
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        handle.drain();
-        let mut hits = 0u64;
-        let mut rows = Vec::new();
-        for r in &responses {
-            assert_eq!(r.get("status").and_then(Json::as_str), Some("done"), "{label}: {r:?}");
-            if r.get("cached") == Some(&Json::Bool(true)) {
-                hits += 1;
-            }
-            let task = r.get("task").expect("done response carries a task");
-            let field =
-                |k: &str| task.get(k).and_then(Json::as_str).unwrap_or_default().to_string();
-            rows.push((field("program"), field("verdict"), field("cert_digest")));
-        }
-        rows.sort();
-        (wall_ms, hits, rows)
-    };
-
-    let (cold_ms, cold_hits, cold_rows) = pass("cold");
-    assert_eq!(cold_hits, 0, "cold pass ran against a non-empty cache");
-    let (warm_ms, warm_hits, warm_rows) = pass("warm");
-    std::fs::remove_file(&cache_path).ok();
-
-    let mut parity_failures = Vec::new();
-    for (c, w) in cold_rows.iter().zip(warm_rows.iter()) {
-        if c != w {
-            parity_failures.push(format!("cold {c:?} vs warm {w:?}"));
-        }
-    }
-    crate::trajectory::ServeBench {
-        programs: corpus.len(),
-        cold_ms,
-        warm_ms,
-        warm_hits,
-        parity_failures,
-    }
-}
-
 /// Measures the cost of process isolation for `--bless`: one cold pass of
 /// the source corpus per isolation mode, each against a fresh in-memory
 /// cache (so neither pass gets warm hits).  Only meaningful from inside
 /// the real `pathinv-cli` binary — the process pass re-execs
 /// `current_exe() run-one-job`.  The chaos-availability numbers of the
 /// returned [`crate::trajectory::SupervisionBench`] are left zeroed; the
-/// caller fills them from a chaos run.
+/// caller fills them from the chaos phase of a [`crate::smoke`] run.
 pub fn bench_supervision(workers: usize) -> crate::trajectory::SupervisionBench {
     let corpus = crate::corpus_sources();
     let pass = |isolation: IsolationMode| -> f64 {

@@ -6,105 +6,19 @@
 //! daemon must never die, never hang, and never serve a wrong verdict.
 
 use pathinv_cli::json::{self, Json};
+use pathinv_cli::smoke::{task_field, temp_path, verify_request, Client, Daemon};
 use pathinv_cli::{run_batch, BatchTask, TaskEngine};
-use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::io::Write;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
+const BIN: &str = env!("CARGO_BIN_EXE_pathinv-cli");
 const SAFE_SRC: &str = "proc ok(x: int) { x = 1; assert(x == 1); }";
 const BUG_SRC: &str = "proc bug(x: int) { x = 1; assert(x == 2); }";
 
-fn temp_path(tag: &str) -> PathBuf {
-    static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    std::env::temp_dir().join(format!("pathinv-serve-cli-{}-{n}-{tag}", std::process::id()))
-}
-
-/// A daemon child whose `Drop` kills the process, so a failing test never
-/// leaks daemons into the test host.
-struct Daemon {
-    child: Child,
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Spawns `pathinv-cli serve --socket ...` and waits for the socket file.
-fn spawn_daemon(socket: &Path, extra: &[&str]) -> Daemon {
-    let mut args = vec!["serve".to_string(), "--socket".to_string(), socket.display().to_string()];
-    args.extend(extra.iter().map(|s| s.to_string()));
-    let child = Command::new(env!("CARGO_BIN_EXE_pathinv-cli"))
-        .args(&args)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("daemon must spawn");
-    let start = Instant::now();
-    while !socket.exists() {
-        assert!(start.elapsed() < Duration::from_secs(30), "daemon never created its socket");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    Daemon { child }
-}
-
-struct Client {
-    writer: UnixStream,
-    reader: BufReader<UnixStream>,
-}
-
-impl Client {
-    fn connect(socket: &Path) -> Client {
-        let stream = UnixStream::connect(socket).expect("client must connect");
-        let reader = BufReader::new(stream.try_clone().expect("stream must clone"));
-        Client { writer: stream, reader }
-    }
-
-    fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").expect("send must succeed");
-    }
-
-    fn recv(&mut self) -> Json {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).expect("recv must succeed");
-        assert!(n > 0, "daemon closed the connection unexpectedly");
-        json::parse(line.trim()).unwrap_or_else(|e| panic!("bad response `{line}`: {e}"))
-    }
-
-    /// Reads lines until EOF (used after SIGTERM, when the daemon drains
-    /// and closes the connection).
-    fn recv_until_eof(&mut self) -> Vec<Json> {
-        let mut out = Vec::new();
-        loop {
-            let mut line = String::new();
-            match self.reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => out.push(json::parse(line.trim()).expect("responses parse")),
-            }
-        }
-        out
-    }
-}
-
-fn verify_request(id: i64, name: &str, source: &str, extra: &[(&str, Json)]) -> String {
-    let mut fields = vec![
-        ("op", Json::Str("verify".to_string())),
-        ("id", Json::Int(id)),
-        ("name", Json::Str(name.to_string())),
-        ("program", Json::Str(source.to_string())),
-    ];
-    fields.extend(extra.iter().cloned());
-    Json::object(fields).compact()
-}
-
-fn task_field<'j>(response: &'j Json, key: &str) -> &'j str {
-    response.get("task").and_then(|t| t.get(key)).and_then(Json::as_str).unwrap_or_default()
+/// A generous per-test read deadline, so a hung daemon fails the test.
+fn deadline() -> Instant {
+    Instant::now() + Duration::from_secs(120)
 }
 
 /// A panicking engine job yields an errored *task* — and the daemon keeps
@@ -112,21 +26,23 @@ fn task_field<'j>(response: &'j Json, key: &str) -> &'j str {
 #[test]
 fn panicking_job_is_isolated_and_the_daemon_keeps_serving() {
     let socket = temp_path("panic.sock");
-    let _daemon = spawn_daemon(&socket, &[]);
-    let mut client = Client::connect(&socket);
-    client.send(&verify_request(
-        1,
-        "boom",
-        SAFE_SRC,
-        &[("engine", Json::Str("panic-shim".to_string()))],
-    ));
-    let r = client.recv();
+    let _daemon = Daemon::spawn(BIN.as_ref(), &socket, &[], false).unwrap();
+    let mut client = Client::connect(&socket, deadline()).unwrap();
+    client
+        .send(&verify_request(
+            1,
+            "boom",
+            SAFE_SRC,
+            &[("engine", Json::Str("panic-shim".to_string()))],
+        ))
+        .unwrap();
+    let r = client.recv().unwrap();
     assert_eq!(r.get("status").and_then(Json::as_str), Some("done"), "{r:?}");
     assert_eq!(task_field(&r, "verdict"), "error", "{r:?}");
     assert!(task_field(&r, "detail").contains("panicked"), "{r:?}");
 
-    client.send(&verify_request(2, "after", BUG_SRC, &[]));
-    let r = client.recv();
+    client.send(&verify_request(2, "after", BUG_SRC, &[])).unwrap();
+    let r = client.recv().unwrap();
     assert_eq!(task_field(&r, "verdict"), "unsafe", "daemon must survive the panic: {r:?}");
 }
 
@@ -135,16 +51,18 @@ fn panicking_job_is_isolated_and_the_daemon_keeps_serving() {
 #[test]
 fn overdue_job_cancels_within_twice_its_deadline() {
     let socket = temp_path("deadline.sock");
-    let _daemon = spawn_daemon(&socket, &[]);
-    let mut client = Client::connect(&socket);
+    let _daemon = Daemon::spawn(BIN.as_ref(), &socket, &[], false).unwrap();
+    let mut client = Client::connect(&socket, deadline()).unwrap();
     let start = Instant::now();
-    client.send(&verify_request(
-        1,
-        "spin",
-        SAFE_SRC,
-        &[("engine", Json::Str("spin-shim".to_string())), ("timeout_ms", Json::Int(300))],
-    ));
-    let r = client.recv();
+    client
+        .send(&verify_request(
+            1,
+            "spin",
+            SAFE_SRC,
+            &[("engine", Json::Str("spin-shim".to_string())), ("timeout_ms", Json::Int(300))],
+        ))
+        .unwrap();
+    let r = client.recv().unwrap();
     let elapsed = start.elapsed();
     assert_eq!(task_field(&r, "verdict"), "cancelled", "{r:?}");
     assert!(task_field(&r, "detail").contains("deadline of 300 ms"), "{r:?}");
@@ -156,15 +74,15 @@ fn overdue_job_cancels_within_twice_its_deadline() {
 #[test]
 fn malformed_lines_error_and_the_stream_continues() {
     let socket = temp_path("malformed.sock");
-    let _daemon = spawn_daemon(&socket, &[]);
-    let mut client = Client::connect(&socket);
+    let _daemon = Daemon::spawn(BIN.as_ref(), &socket, &[], false).unwrap();
+    let mut client = Client::connect(&socket, deadline()).unwrap();
     for hostile in ["not json at all", "{\"op\":\"no-such-op\"}", "{\"op\":\"verify\"}", "[1,2]"] {
-        client.send(hostile);
-        let r = client.recv();
+        client.send(hostile).unwrap();
+        let r = client.recv().unwrap();
         assert_eq!(r.get("status").and_then(Json::as_str), Some("error"), "{hostile} -> {r:?}");
     }
-    client.send("{\"op\":\"ping\"}");
-    assert_eq!(client.recv().get("status").and_then(Json::as_str), Some("pong"));
+    client.send("{\"op\":\"ping\"}").unwrap();
+    assert_eq!(client.recv().unwrap().get("status").and_then(Json::as_str), Some("pong"));
 }
 
 /// A corrupted journal tail is truncated on recovery: the intact prefix
@@ -177,16 +95,17 @@ fn corrupted_journal_recovers_and_verdicts_stay_correct() {
     let cache = temp_path("corrupt.journal");
     let cache_arg = cache.display().to_string();
     {
-        let mut daemon = spawn_daemon(&socket, &["--cache", &cache_arg]);
-        let mut client = Client::connect(&socket);
-        client.send(&verify_request(1, "first", SAFE_SRC, &[]));
-        let r = client.recv();
+        let mut daemon =
+            Daemon::spawn(BIN.as_ref(), &socket, &["--cache", &cache_arg], false).unwrap();
+        let mut client = Client::connect(&socket, deadline()).unwrap();
+        client.send(&verify_request(1, "first", SAFE_SRC, &[])).unwrap();
+        let r = client.recv().unwrap();
         assert_eq!(task_field(&r, "verdict"), "safe", "{r:?}");
-        client.send(&verify_request(2, "second", BUG_SRC, &[]));
-        let r = client.recv();
+        client.send(&verify_request(2, "second", BUG_SRC, &[])).unwrap();
+        let r = client.recv().unwrap();
         assert_eq!(task_field(&r, "verdict"), "unsafe", "{r:?}");
-        client.send("{\"op\":\"shutdown\"}");
-        let ack = client.recv();
+        client.send("{\"op\":\"shutdown\"}").unwrap();
+        let ack = client.recv().unwrap();
         assert_eq!(ack.get("status").and_then(Json::as_str), Some("shutdown"), "{ack:?}");
         assert_eq!(daemon.child.wait().expect("daemon exits").code(), Some(0));
     }
@@ -200,14 +119,14 @@ fn corrupted_journal_recovers_and_verdicts_stay_correct() {
     std::fs::write(&cache, &journal).expect("journal rewritten");
 
     let socket2 = temp_path("corrupt2.sock");
-    let _daemon = spawn_daemon(&socket2, &["--cache", &cache_arg]);
-    let mut client = Client::connect(&socket2);
-    client.send(&verify_request(3, "first", SAFE_SRC, &[]));
-    let r = client.recv();
+    let _daemon = Daemon::spawn(BIN.as_ref(), &socket2, &["--cache", &cache_arg], false).unwrap();
+    let mut client = Client::connect(&socket2, deadline()).unwrap();
+    client.send(&verify_request(3, "first", SAFE_SRC, &[])).unwrap();
+    let r = client.recv().unwrap();
     assert_eq!(task_field(&r, "verdict"), "safe", "{r:?}");
     assert_eq!(r.get("cached"), Some(&Json::Bool(true)), "intact prefix must hit: {r:?}");
-    client.send(&verify_request(4, "second", BUG_SRC, &[]));
-    let r = client.recv();
+    client.send(&verify_request(4, "second", BUG_SRC, &[])).unwrap();
+    let r = client.recv().unwrap();
     assert_eq!(task_field(&r, "verdict"), "unsafe", "recomputed verdict must be right: {r:?}");
     assert_eq!(r.get("cached"), Some(&Json::Bool(false)), "corrupted entry must recompute: {r:?}");
     std::fs::remove_file(&cache).ok();
@@ -218,14 +137,16 @@ fn corrupted_journal_recovers_and_verdicts_stay_correct() {
 #[test]
 fn sigterm_mid_job_drains_with_exit_zero() {
     let socket = temp_path("sigterm.sock");
-    let mut daemon = spawn_daemon(&socket, &[]);
-    let mut client = Client::connect(&socket);
-    client.send(&verify_request(
-        1,
-        "spin-forever",
-        SAFE_SRC,
-        &[("engine", Json::Str("spin-shim".to_string()))],
-    ));
+    let mut daemon = Daemon::spawn(BIN.as_ref(), &socket, &[], false).unwrap();
+    let mut client = Client::connect(&socket, deadline()).unwrap();
+    client
+        .send(&verify_request(
+            1,
+            "spin-forever",
+            SAFE_SRC,
+            &[("engine", Json::Str("spin-shim".to_string()))],
+        ))
+        .unwrap();
     // Give the worker a moment to pick the job up, then terminate mid-job.
     std::thread::sleep(Duration::from_millis(300));
     let status = Command::new("kill")
@@ -358,15 +279,19 @@ fn cli_flag_validation_exits_two() {
 #[test]
 fn aborting_engine_under_process_isolation_is_contained() {
     let socket = temp_path("abort.sock");
-    let _daemon = spawn_daemon(&socket, &["--isolate", "process", "--retries", "0"]);
-    let mut client = Client::connect(&socket);
-    client.send(&verify_request(
-        1,
-        "hard-crash",
-        SAFE_SRC,
-        &[("engine", Json::Str("abort-shim".to_string()))],
-    ));
-    let r = client.recv();
+    let _daemon =
+        Daemon::spawn(BIN.as_ref(), &socket, &["--isolate", "process", "--retries", "0"], false)
+            .unwrap();
+    let mut client = Client::connect(&socket, deadline()).unwrap();
+    client
+        .send(&verify_request(
+            1,
+            "hard-crash",
+            SAFE_SRC,
+            &[("engine", Json::Str("abort-shim".to_string()))],
+        ))
+        .unwrap();
+    let r = client.recv().unwrap();
     assert_eq!(r.get("status").and_then(Json::as_str), Some("done"), "{r:?}");
     assert_eq!(task_field(&r, "verdict"), "error", "{r:?}");
     assert!(
@@ -375,11 +300,11 @@ fn aborting_engine_under_process_isolation_is_contained() {
     );
     // The daemon — not just the worker — survived: a normal job still runs,
     // in its own child process, and reports the right verdict.
-    client.send(&verify_request(2, "after", BUG_SRC, &[]));
-    let r = client.recv();
+    client.send(&verify_request(2, "after", BUG_SRC, &[])).unwrap();
+    let r = client.recv().unwrap();
     assert_eq!(task_field(&r, "verdict"), "unsafe", "daemon must survive the abort: {r:?}");
-    client.send(&verify_request(3, "after-safe", SAFE_SRC, &[]));
-    let r = client.recv();
+    client.send(&verify_request(3, "after-safe", SAFE_SRC, &[])).unwrap();
+    let r = client.recv().unwrap();
     assert_eq!(task_field(&r, "verdict"), "safe", "{r:?}");
 }
 
@@ -392,38 +317,45 @@ fn breaker_quarantines_a_faulting_engine_and_recovers_after_cooldown() {
     const TWO_VAR: &str = "proc f(x: int, y: int) { x = 1; assert(x == 1); }";
     const ONE_VAR: &str = "proc f(x: int) { x = 1; assert(x == 1); }";
     let socket = temp_path("breaker.sock");
-    let _daemon = spawn_daemon(
+    let _daemon = Daemon::spawn(
+        BIN.as_ref(),
         &socket,
         &["--retries", "0", "--breaker-threshold", "2", "--breaker-cooldown-ms", "600"],
-    );
-    let mut client = Client::connect(&socket);
+        false,
+    )
+    .unwrap();
+    let mut client = Client::connect(&socket, deadline()).unwrap();
     let flaky = ("engine", Json::Str("flaky-shim".to_string()));
     // flaky-shim faults deterministically on two-variable programs: two
     // consecutive faults trip the breaker.
     for id in 1..=2 {
-        client.send(&verify_request(id, "fault", TWO_VAR, std::slice::from_ref(&flaky)));
-        let r = client.recv();
+        client.send(&verify_request(id, "fault", TWO_VAR, std::slice::from_ref(&flaky))).unwrap();
+        let r = client.recv().unwrap();
         assert_eq!(task_field(&r, "verdict"), "error", "{r:?}");
     }
     // Open: even a would-succeed submission is fast-failed.
-    client.send(&verify_request(3, "quarantine-probe", ONE_VAR, std::slice::from_ref(&flaky)));
-    let r = client.recv();
+    client
+        .send(&verify_request(3, "quarantine-probe", ONE_VAR, std::slice::from_ref(&flaky)))
+        .unwrap();
+    let r = client.recv().unwrap();
     assert_eq!(r.get("status").and_then(Json::as_str), Some("quarantined"), "{r:?}");
     assert_eq!(r.get("engine").and_then(Json::as_str), Some("flaky-shim"), "{r:?}");
     assert!(r.get("retry_after_ms").and_then(Json::as_int).is_some(), "{r:?}");
     // Other engines are not quarantined by flaky-shim's breaker.
-    client.send(&verify_request(4, "bystander", BUG_SRC, &[]));
-    let r = client.recv();
+    client.send(&verify_request(4, "bystander", BUG_SRC, &[])).unwrap();
+    let r = client.recv().unwrap();
     assert_eq!(task_field(&r, "verdict"), "unsafe", "{r:?}");
     // After the cooldown the half-open probe is admitted; its success
     // closes the breaker and the engine serves normally again.
     std::thread::sleep(Duration::from_millis(800));
-    client.send(&verify_request(5, "recovery-probe", ONE_VAR, std::slice::from_ref(&flaky)));
-    let r = client.recv();
+    client
+        .send(&verify_request(5, "recovery-probe", ONE_VAR, std::slice::from_ref(&flaky)))
+        .unwrap();
+    let r = client.recv().unwrap();
     assert_eq!(r.get("status").and_then(Json::as_str), Some("done"), "{r:?}");
     assert_eq!(task_field(&r, "verdict"), "unknown", "{r:?}");
-    client.send(&verify_request(6, "recovered", ONE_VAR, &[flaky]));
-    let r = client.recv();
+    client.send(&verify_request(6, "recovered", ONE_VAR, &[flaky])).unwrap();
+    let r = client.recv().unwrap();
     assert_eq!(r.get("status").and_then(Json::as_str), Some("done"), "closed again: {r:?}");
 }
 
@@ -439,18 +371,19 @@ fn compacted_journal_survives_a_sigkill_crash_with_identical_warm_verdicts() {
     // Phase 1: capture the cold verdicts through a daemon, clean shutdown.
     let (cold_safe, cold_bug);
     {
-        let mut daemon = spawn_daemon(&socket, &["--cache", &cache_arg]);
-        let mut client = Client::connect(&socket);
-        client.send(&verify_request(1, "first", SAFE_SRC, &[]));
-        let r = client.recv();
+        let mut daemon =
+            Daemon::spawn(BIN.as_ref(), &socket, &["--cache", &cache_arg], false).unwrap();
+        let mut client = Client::connect(&socket, deadline()).unwrap();
+        client.send(&verify_request(1, "first", SAFE_SRC, &[])).unwrap();
+        let r = client.recv().unwrap();
         cold_safe =
             (task_field(&r, "verdict").to_string(), task_field(&r, "cert_digest").to_string());
-        client.send(&verify_request(2, "second", BUG_SRC, &[]));
-        let r = client.recv();
+        client.send(&verify_request(2, "second", BUG_SRC, &[])).unwrap();
+        let r = client.recv().unwrap();
         cold_bug =
             (task_field(&r, "verdict").to_string(), task_field(&r, "cert_digest").to_string());
-        client.send("{\"op\":\"shutdown\"}");
-        client.recv();
+        client.send("{\"op\":\"shutdown\"}").unwrap();
+        client.recv().unwrap();
         assert_eq!(daemon.child.wait().expect("daemon exits").code(), Some(0));
     }
     // Bloat the journal with superseded records so the daemon's next insert
@@ -475,16 +408,18 @@ fn compacted_journal_survives_a_sigkill_crash_with_identical_warm_verdicts() {
     // cacheable insert compacts the journal.  Then SIGKILL — a real crash.
     let socket2 = temp_path("compact2.sock");
     {
-        let mut daemon =
-            spawn_daemon(&socket2, &["--cache", &cache_arg, "--cache-compact-bytes", "64"]);
-        let mut client = Client::connect(&socket2);
-        client.send(&verify_request(
-            3,
-            "third",
-            "proc third(x: int) { x = 3; assert(x == 3); }",
-            &[],
-        ));
-        let r = client.recv();
+        let mut daemon = Daemon::spawn(
+            BIN.as_ref(),
+            &socket2,
+            &["--cache", &cache_arg, "--cache-compact-bytes", "64"],
+            false,
+        )
+        .unwrap();
+        let mut client = Client::connect(&socket2, deadline()).unwrap();
+        client
+            .send(&verify_request(3, "third", "proc third(x: int) { x = 3; assert(x == 3); }", &[]))
+            .unwrap();
+        let r = client.recv().unwrap();
         assert_eq!(r.get("status").and_then(Json::as_str), Some("done"), "{r:?}");
         let status = Command::new("kill")
             .args(["-KILL", &daemon.child.id().to_string()])
@@ -502,18 +437,18 @@ fn compacted_journal_survives_a_sigkill_crash_with_identical_warm_verdicts() {
     // Phase 3: a fresh daemon over the crashed-but-compacted journal must
     // serve the original verdicts warm and byte-identical.
     let socket3 = temp_path("compact3.sock");
-    let _daemon = spawn_daemon(&socket3, &["--cache", &cache_arg]);
-    let mut client = Client::connect(&socket3);
-    client.send(&verify_request(4, "first", SAFE_SRC, &[]));
-    let r = client.recv();
+    let _daemon = Daemon::spawn(BIN.as_ref(), &socket3, &["--cache", &cache_arg], false).unwrap();
+    let mut client = Client::connect(&socket3, deadline()).unwrap();
+    client.send(&verify_request(4, "first", SAFE_SRC, &[])).unwrap();
+    let r = client.recv().unwrap();
     assert_eq!(r.get("cached"), Some(&Json::Bool(true)), "must replay warm: {r:?}");
     assert_eq!(
         (task_field(&r, "verdict").to_string(), task_field(&r, "cert_digest").to_string()),
         cold_safe,
         "{r:?}"
     );
-    client.send(&verify_request(5, "second", BUG_SRC, &[]));
-    let r = client.recv();
+    client.send(&verify_request(5, "second", BUG_SRC, &[])).unwrap();
+    let r = client.recv().unwrap();
     assert_eq!(r.get("cached"), Some(&Json::Bool(true)), "must replay warm: {r:?}");
     assert_eq!(
         (task_field(&r, "verdict").to_string(), task_field(&r, "cert_digest").to_string()),
@@ -529,31 +464,36 @@ fn compacted_journal_survives_a_sigkill_crash_with_identical_warm_verdicts() {
 #[test]
 fn concurrent_clients_past_queue_capacity_each_get_exactly_one_response() {
     let socket = temp_path("overload.sock");
-    let _daemon = spawn_daemon(&socket, &["--workers", "1", "--queue", "2"]);
+    let _daemon =
+        Daemon::spawn(BIN.as_ref(), &socket, &["--workers", "1", "--queue", "2"], false).unwrap();
     // Occupy the single worker so the queue is what the flood fights over.
-    let mut occupier = Client::connect(&socket);
-    occupier.send(&verify_request(
-        100,
-        "occupier",
-        SAFE_SRC,
-        &[("engine", Json::Str("spin-shim".to_string())), ("timeout_ms", Json::Int(800))],
-    ));
+    let mut occupier = Client::connect(&socket, deadline()).unwrap();
+    occupier
+        .send(&verify_request(
+            100,
+            "occupier",
+            SAFE_SRC,
+            &[("engine", Json::Str("spin-shim".to_string())), ("timeout_ms", Json::Int(800))],
+        ))
+        .unwrap();
     std::thread::sleep(Duration::from_millis(300));
     let handles: Vec<_> = (0..10)
         .map(|i| {
             let socket = socket.clone();
             std::thread::spawn(move || {
-                let mut client = Client::connect(&socket);
-                client.send(&verify_request(
-                    i,
-                    &format!("flood-{i}"),
-                    SAFE_SRC,
-                    &[
-                        ("engine", Json::Str("spin-shim".to_string())),
-                        ("timeout_ms", Json::Int(500)),
-                    ],
-                ));
-                let r = client.recv();
+                let mut client = Client::connect(&socket, deadline()).unwrap();
+                client
+                    .send(&verify_request(
+                        i,
+                        &format!("flood-{i}"),
+                        SAFE_SRC,
+                        &[
+                            ("engine", Json::Str("spin-shim".to_string())),
+                            ("timeout_ms", Json::Int(500)),
+                        ],
+                    ))
+                    .unwrap();
+                let r = client.recv().unwrap();
                 // Exactly one response per client: after it, the connection
                 // must stay silent (a duplicate would land here).
                 client.writer.shutdown(std::net::Shutdown::Write).ok();
@@ -576,7 +516,7 @@ fn concurrent_clients_past_queue_capacity_each_get_exactly_one_response() {
     assert_eq!(overloaded + done, 10, "zero dropped responses: {statuses:?}");
     assert!(overloaded >= 7, "1 worker + queue 2 can admit at most 3 of 10 floods: {statuses:?}");
     // The occupier's job still completes honestly.
-    let r = occupier.recv();
+    let r = occupier.recv().unwrap();
     assert_eq!(r.get("id").and_then(Json::as_int), Some(100), "{r:?}");
     assert_eq!(task_field(&r, "verdict"), "cancelled", "{r:?}");
 }

@@ -23,7 +23,7 @@
 //! [`EngineSpec::PanicShim`], [`EngineSpec::SpinShim`],
 //! [`EngineSpec::AbortShim`], [`EngineSpec::MemHogShim`], and
 //! [`EngineSpec::FlakyShim`] — deliberately hostile engines the robustness
-//! test suites (and the service's `serve-smoke`/`chaos-smoke` CI jobs) use
+//! test suites (and the service's `serve-smoke` CI job) use
 //! to prove that panic isolation, process isolation, deadline enforcement,
 //! and circuit breaking work in the real binary, not just in unit tests.
 //!
