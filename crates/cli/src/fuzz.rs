@@ -14,7 +14,10 @@
 //!    [`pathinv_ir::exec::replay`];
 //! 3. **cached vs uncached** — a sample of programs re-runs the CEGAR
 //!    engine with the incremental caches disabled and compares observable
-//!    outcomes.
+//!    outcomes.  Both sides decide their queries on the same live tableau
+//!    of the solver context, so this checks the caches, not the warm path;
+//!    the warm path is held to the stateless solver by the context's
+//!    property tests (`crates/smt/tests/context.rs`).
 //!
 //! Every disagreement is a [`Finding`].  Findings are shrunk with the
 //! vendored proptest greedy minimizer: the scenario is shrunk while the

@@ -54,7 +54,8 @@ pub const BENCH_SCHEMA_VERSION: i64 = 8;
 /// Totals of the counters that matter for the trajectory.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TrajectoryTotals {
-    /// Combined-solver invocations summed over all tasks.
+    /// Cold combined-solver invocations summed over all tasks (context
+    /// queries decided on the live tableau are not among them).
     pub solver_calls: u64,
     /// Cold simplex solves (tableau constructions) summed over all tasks.
     pub simplex_calls: u64,

@@ -5,12 +5,17 @@
 //! taken pushes one assumption frame onto a
 //! [`SolverContext`] and checks satisfiability of the stack, so an
 //! infeasible prefix prunes its whole subtree and backtracking is a single
-//! [`pop`](SolverContext::pop).  This is the classic unrolling view of BMC
-//! specialised to CFGs: a path reaching the error location with a
-//! satisfiable stack *is* a concrete counterexample (the stack is exactly
-//! the path formula of §2.1), and if the exploration exhausts every path
-//! without truncating any at the depth bound, the program has finitely many
-//! paths and the error location is unreachable — a proof.
+//! [`pop`](SolverContext::pop).  The context carries a live simplex
+//! tableau of the stack, one level per frame, so a step in linear
+//! arithmetic is one warm re-check of the prefix's tableau, not a rebuild
+//! of the path formula; a stack holding array atoms goes to the combined
+//! solver unless its linear part is already infeasible.  This is the
+//! classic unrolling view of BMC specialised to CFGs: a path reaching the
+//! error location with a satisfiable stack *is* a concrete counterexample
+//! (the stack is exactly the path formula of §2.1), and if the exploration
+//! exhausts every path without truncating any at the depth bound, the
+//! program has finitely many paths and the error location is unreachable —
+//! a proof.
 //!
 //! BMC complements the CEGAR engine: it needs no abstraction and no
 //! refinement, finds shallow bugs quickly, and proves programs whose loops
@@ -186,9 +191,11 @@ struct Search<'p> {
     program: &'p Program,
     config: BmcConfig,
     /// The incremental context holding the SSA constraints of the current
-    /// path prefix, one assumption frame per transition.  BMC stacks are
-    /// never revisited, so the keyed cache would only burn memory — the
-    /// uncached context is used on purpose.
+    /// path prefix, one assumption frame per transition; its live tableau
+    /// follows the frames, so a feasibility check re-checks warm instead of
+    /// rebuilding the path formula.  BMC stacks are never revisited, so the
+    /// keyed cache would only burn memory — the uncached context is used on
+    /// purpose.
     ctx: SolverContext,
     /// Transition ids of the current path prefix (parallel to the non-root
     /// search frames).
@@ -409,12 +416,15 @@ mod tests {
         assert!(result.verdict.is_unsafe(), "{:?}", result.verdict);
     }
 
-    /// Ratchet on the array programs whose unrolled read-over-write chains
-    /// once cold-solved every leaf of their case-split trees: each stays
-    /// `unknown`, within its cold-simplex ceiling, and ends at the depth
-    /// bound instead of on the solver's case-split budget.
+    /// Ratchet on cold simplex builds.  The array programs' unrolled
+    /// read-over-write chains once cold-solved every leaf of their
+    /// case-split trees; the arithmetic programs once cold-solved every
+    /// feasibility check of the unrolling, before the context's live
+    /// tableau decided them warm.  Each stays `unknown` for its reason and
+    /// within its ceiling; the array programs end at the depth bound
+    /// instead of on the solver's case-split budget.
     #[test]
-    fn array_programs_prune_case_splits_on_the_warm_tableau() {
+    fn unrollings_stay_within_their_cold_build_ceilings() {
         let suite = |name: &str| {
             corpus::suite_programs()
                 .into_iter()
@@ -422,18 +432,21 @@ mod tests {
                 .unwrap_or_else(|| panic!("suite program {name}"))
                 .1
         };
+        let truncated = "truncated";
         let cases = [
-            ("INITCHECK", corpus::initcheck(), 748),
-            ("PARTITION", corpus::partition(), 1_278),
-            ("suite/init_check", suite("init_check"), 710),
-            ("suite/init_const", suite("init_const"), 709),
+            ("INITCHECK", corpus::initcheck(), 748, truncated),
+            ("PARTITION", corpus::partition(), 1_278, truncated),
+            ("suite/init_check", suite("init_check"), 710, truncated),
+            ("suite/init_const", suite("init_const"), 709, truncated),
+            ("FORWARD", corpus::forward(), 133, "feasibility checks"),
+            ("suite/forward", suite("forward"), 25, truncated),
         ];
-        for (name, program, max_cold) in cases {
+        for (name, program, max_cold, expected) in cases {
             let result = BmcEngine::default().verify(&program).unwrap();
             let Verdict::Unknown { reason } = &result.verdict else {
                 panic!("{name}: expected unknown, got {:?}", result.verdict);
             };
-            assert!(reason.contains("truncated"), "{name}: {reason}");
+            assert!(reason.contains(expected), "{name}: {reason}");
             assert!(
                 result.stats.simplex_calls <= max_cold,
                 "{name}: {} cold simplex builds, ceiling {max_cold}",

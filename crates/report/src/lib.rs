@@ -60,7 +60,10 @@ pub use pathinv_core::{refiner_name, NO_REFINER};
 /// while open), `{"op":"stats"}` grew `cache`/`jobs`/`breakers` sections,
 /// and the fault-injection engines `abort-shim`, `memhog-shim`, and
 /// `flaky-shim` joined the engine vocabulary for chaos testing — batch and
-/// golden task layouts are unchanged.
+/// golden task layouts are unchanged.  Within version 9, `solver_calls`
+/// narrowed to cold combined-solver checks once the solver context decided
+/// linear queries on its live tableau (those count as
+/// `simplex_warm_checks`); the layout is unchanged.
 pub const SCHEMA_VERSION: i64 = 9;
 
 /// The deterministic ordering of engine columns in reports and in the

@@ -1,41 +1,53 @@
 //! An incremental solving context over the combined solver.
 //!
-//! The CEGAR engine issues thousands of closely related queries: the same
+//! The engines issue thousands of closely related queries: the same
 //! abstract state conjoined with the same transition relation, asked about
-//! one predicate after another, re-asked on every abstract-reachability
-//! phase as the predicate map grows.  A [`SolverContext`] makes that shape
-//! cheap in two ways:
+//! one predicate after another; the same unrolled path prefix, extended by
+//! one transition per BMC step.  A [`SolverContext`] makes that shape cheap
+//! in three ways:
 //!
 //! * **scoped assumptions** — callers [`push`](SolverContext::push) a frame,
 //!   [`assume`](SolverContext::assume) the facts that stay fixed across a
 //!   group of queries (the abstract state, the transition relation), issue
-//!   the queries, and [`pop`](SolverContext::pop) the frame.  The context
-//!   assembles the antecedent once per query from the live stack instead of
-//!   forcing every call site to rebuild conjunctions by hand.
-//! * **a keyed query cache** — every boolean query (satisfiability of the
-//!   stack, entailment of a consequent) is memoized under a key derived from
-//!   the assumption stack and the query formula.  The underlying
-//!   [`Solver`] is deterministic, so replaying a cached answer is
-//!   observationally identical to re-solving — it just skips the case
-//!   splitting.  Queries that *error* (case-split budget, unsupported
-//!   fragment) are never cached, so error behaviour is also unchanged.
+//!   the queries, and [`pop`](SolverContext::pop) the frame.
+//! * **a live tableau** — the context owns one linear relaxation of its
+//!   assumption stack on an [`IncrementalSimplex`](crate::IncrementalSimplex)
+//!   (the `Relaxation` the solver's case-split trees also prune on), one
+//!   tableau level per assumption.  A query first syncs the stack onto it
+//!   (pushing the levels of new assumptions, truncating popped ones) and
+//!   pushes the query's own atoms.  An infeasible relaxation answers unsat
+//!   outright.  When the stack and the query are conjunctions of linear
+//!   integer atoms, the tableau decides them exactly: disequalities split
+//!   into `<`/`>` on it and are pruned warm, each branch charged to the
+//!   solver's case-split budget.  Anything else — disjunctions,
+//!   quantifiers, array reads, applications — falls back to the stateless
+//!   [`Solver`] on the [`antecedent`](SolverContext::antecedent).  Atoms
+//!   with reads or applications never reach the tableau, so the warm path
+//!   draws no fresh symbols.  The relaxation only ever refutes what the
+//!   solver would refute, so the warm path changes no answer; at most it
+//!   answers a query whose cold solve would have failed (out of budget, or
+//!   on a conjunct outside the solver's fragment).
+//! * **a keyed query cache** in front of both — every boolean query
+//!   (satisfiability of the stack, entailment of a consequent) is memoized
+//!   under a key derived from the assumption stack and the query formula.
+//!   Answers are deterministic, so replaying a cached answer is
+//!   observationally identical to re-solving.  Queries that *error*
+//!   (case-split budget, unsupported fragment) are never cached.
 //!
 //! Cache keys are hash-consed ids: every assumed formula is interned
 //! ([`FormulaId`]), the assumption *stack* is identified by a cons-chain of
 //! interned pairs ([`SeqId`]) updated in `O(1)` per
 //! [`assume`](SolverContext::assume), and a query key is the `Copy` triple
 //! `(stack id, query kind, query id)`.  Hash consing is injective on
-//! formula structure — structurally distinct stacks or queries get distinct
-//! ids — so a hit is always sound, exactly like the pretty-printed string
-//! keys this replaced, but without allocating or comparing a rendering of
-//! the whole stack on every query.  The cache outlives pops on purpose: a
-//! re-pushed assumption set rebuilds the same cons-chain id and hits the
-//! entries it populated earlier, which is exactly the reuse pattern of
-//! re-running abstract reachability after a refinement step.
+//! formula structure, so a hit is always sound.  The cache outlives pops on
+//! purpose: a re-pushed assumption set rebuilds the same cons-chain id and
+//! hits the entries it populated earlier, which is exactly the reuse
+//! pattern of re-running abstract reachability after a refinement step.
 
 use crate::error::SmtResult;
-use crate::solver::Solver;
-use pathinv_ir::{Formula, FormulaId, SeqId};
+use crate::linexpr::LinExpr;
+use crate::solver::{spend_branch, Relaxation, Solver};
+use pathinv_ir::{Atom, Formula, FormulaId, RelOp, SeqId};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
@@ -50,9 +62,9 @@ pub struct ContextStats {
     pub cache_entries: u64,
 }
 
-/// An incremental context: a scoped assumption stack plus a keyed cache of
-/// boolean query results, on top of the (stateless, deterministic)
-/// combined [`Solver`].
+/// An incremental context: a scoped assumption stack with a live linear
+/// relaxation, a keyed cache of boolean query results, and the combined
+/// [`Solver`] as the fallback for queries outside linear arithmetic.
 #[derive(Debug)]
 pub struct SolverContext {
     solver: Solver,
@@ -66,6 +78,7 @@ pub struct SolverContext {
     frames: Vec<usize>,
     caching: bool,
     cache: RefCell<HashMap<QueryKey, bool>>,
+    warm: RefCell<WarmStack>,
     queries: Cell<u64>,
     hits: Cell<u64>,
 }
@@ -84,6 +97,20 @@ enum QueryKind {
 /// hash-consed query formula.  `Copy`, 12 bytes, `O(1)` to hash and compare.
 type QueryKey = (u32, QueryKind, u32);
 
+/// The live relaxation of the assumption stack: relaxation level `k` holds
+/// the read-free linear atoms of assumption `k`, and `diseqs[k]` its
+/// disequalities, or `None` when assumption `k` is not a conjunction of
+/// linear integer atoms (the stack can then only be refuted warm, never
+/// decided).
+#[derive(Debug, Default)]
+struct WarmStack {
+    relaxation: Relaxation,
+    diseqs: Vec<Option<Vec<Atom>>>,
+    /// How many of the synced levels still mirror the assumption stack;
+    /// [`pop`](SolverContext::pop) lowers it, the next query truncates.
+    valid: usize,
+}
+
 impl Default for SolverContext {
     fn default() -> Self {
         SolverContext::new()
@@ -96,9 +123,9 @@ impl SolverContext {
         SolverContext::with_solver(Solver::new(), true)
     }
 
-    /// Creates a context with caching disabled: every query goes to the
-    /// solver.  Used to measure the uncached baseline; answers are identical
-    /// to the caching context's.
+    /// Creates a context with caching disabled: every query is solved, warm
+    /// or cold.  Used to measure the uncached baseline; answers are
+    /// identical to the caching context's.
     pub fn uncached() -> SolverContext {
         SolverContext::with_solver(Solver::new(), false)
     }
@@ -113,6 +140,7 @@ impl SolverContext {
             frames: Vec::new(),
             caching,
             cache: RefCell::new(HashMap::new()),
+            warm: RefCell::new(WarmStack::default()),
             queries: Cell::new(0),
             hits: Cell::new(0),
         }
@@ -131,6 +159,8 @@ impl SolverContext {
             Some(height) => {
                 self.assumptions.truncate(height);
                 self.stack_ids.truncate(height);
+                let warm = self.warm.get_mut();
+                warm.valid = warm.valid.min(height);
                 true
             }
             None => false,
@@ -140,7 +170,8 @@ impl SolverContext {
     /// Adds an assumption to the current frame.  Trivially true assumptions
     /// are dropped.  The stack's hash-consed identity is only maintained
     /// when caching is on — the uncached baseline never reads a cache key,
-    /// so it must not pay for (or contend on) interning either.
+    /// so it must not pay for (or contend on) interning either.  The
+    /// relaxation picks the assumption up at the next query.
     pub fn assume(&mut self, f: Formula) {
         if !matches!(f, Formula::True) {
             if self.caching {
@@ -171,12 +202,15 @@ impl SolverContext {
     ///
     /// # Errors
     ///
-    /// Propagates solver errors (unsupported fragment, case-split budget).
+    /// Propagates solver errors (unsupported fragment, case-split budget,
+    /// arithmetic overflow).
     pub fn is_sat(&self) -> SmtResult<bool> {
         // The key already identifies the full assumption stack, so the
         // query part is trivially `true`; the conjunction is only built on
-        // a cache miss.
-        self.cached(QueryKind::Sat, &Formula::True, |s| s.is_sat(&self.antecedent()))
+        // a cold solve.
+        self.cached(QueryKind::Sat, &Formula::True, || {
+            self.sat_with(&Formula::True, || self.solver.is_sat(&self.antecedent()))
+        })
     }
 
     /// Decides satisfiability of the assumption stack conjoined with
@@ -186,18 +220,30 @@ impl SolverContext {
     ///
     /// Propagates solver errors.
     pub fn is_sat_with(&self, extra: &Formula) -> SmtResult<bool> {
-        self.cached(QueryKind::Sat, extra, |s| {
-            s.is_sat(&Formula::and(vec![self.antecedent(), extra.clone()]))
+        self.cached(QueryKind::Sat, extra, || {
+            self.sat_with(extra, || {
+                self.solver.is_sat(&Formula::and(vec![self.antecedent(), extra.clone()]))
+            })
         })
     }
 
-    /// Returns `true` if the assumption stack entails `consequent`.
+    /// Returns `true` if the assumption stack entails `consequent`.  An
+    /// atomic consequent is decided as the unsatisfiability of the stack
+    /// with its negation, on the live tableau where possible; any other
+    /// consequent goes to the stateless solver.
     ///
     /// # Errors
     ///
     /// Propagates solver errors.
     pub fn entails(&self, consequent: &Formula) -> SmtResult<bool> {
-        self.cached(QueryKind::Entails, consequent, |s| s.entails(&self.antecedent(), consequent))
+        self.cached(QueryKind::Entails, consequent, || {
+            let cold = || self.solver.entails(&self.antecedent(), consequent);
+            if is_literal(consequent) {
+                Ok(!self.sat_with(&consequent.clone().not(), || cold().map(|e| !e))?)
+            } else {
+                cold()
+            }
+        })
     }
 
     /// Usage counters of this context.
@@ -206,6 +252,22 @@ impl SolverContext {
             queries: self.queries.get(),
             cache_hits: self.hits.get(),
             cache_entries: self.cache.borrow().len() as u64,
+        }
+    }
+
+    /// Decides the stack conjoined with `extra` on the live tableau, or with
+    /// `cold` when the tableau cannot.  An error on the warm path discards
+    /// the relaxation (the next query rebuilds it) and is returned.
+    fn sat_with(&self, extra: &Formula, cold: impl FnOnce() -> SmtResult<bool>) -> SmtResult<bool> {
+        let decided =
+            self.warm.borrow_mut().decide(&self.assumptions, extra, self.solver.max_branches);
+        match decided {
+            Ok(Some(answer)) => Ok(answer),
+            Ok(None) => cold(),
+            Err(e) => {
+                *self.warm.borrow_mut() = WarmStack::default();
+                Err(e)
+            }
         }
     }
 
@@ -218,11 +280,11 @@ impl SolverContext {
         &self,
         kind: QueryKind,
         query: &Formula,
-        solve: impl FnOnce(&Solver) -> SmtResult<bool>,
+        solve: impl FnOnce() -> SmtResult<bool>,
     ) -> SmtResult<bool> {
         self.queries.set(self.queries.get() + 1);
         if !self.caching {
-            return solve(&self.solver);
+            return solve();
         }
         let stack = self.stack_ids.last().copied().unwrap_or_else(SeqId::empty);
         let key: QueryKey = (stack.raw(), kind, FormulaId::intern(query).raw());
@@ -230,10 +292,113 @@ impl SolverContext {
             self.hits.set(self.hits.get() + 1);
             return Ok(answer);
         }
-        let answer = solve(&self.solver)?;
+        let answer = solve()?;
         self.cache.borrow_mut().insert(key, answer);
         Ok(answer)
     }
+}
+
+impl WarmStack {
+    /// Syncs the relaxation with `assumptions`, then decides their
+    /// conjunction with `extra`: `Some(false)` if the relaxation is
+    /// infeasible, `Some(answer)` if everything is linear, `None` if the
+    /// query needs the cold solver.
+    fn decide(
+        &mut self,
+        assumptions: &[Formula],
+        extra: &Formula,
+        max_branches: usize,
+    ) -> SmtResult<Option<bool>> {
+        if self.diseqs.len() > self.valid {
+            self.relaxation.truncate(self.valid)?;
+            self.diseqs.truncate(self.valid);
+        }
+        for f in &assumptions[self.valid..] {
+            let diseqs = self.push_level(f)?;
+            self.diseqs.push(diseqs);
+        }
+        self.valid = assumptions.len();
+
+        let depth = self.relaxation.depth();
+        let query = self.push_level(extra)?;
+        let stack = self.diseqs.iter().try_fold(Vec::new(), |mut all, level| {
+            all.extend(level.as_ref()?);
+            Some(all)
+        });
+        let decided = if !self.relaxation.is_feasible()? {
+            Some(false)
+        } else if let (Some(mut diseqs), Some(query)) = (stack, &query) {
+            diseqs.extend(query);
+            Some(split(&mut self.relaxation, &diseqs, &Cell::new(max_branches))?)
+        } else {
+            None
+        };
+        self.relaxation.truncate(depth)?;
+        Ok(decided)
+    }
+
+    /// Pushes one relaxation level with the read-free atoms of `f`'s
+    /// top-level conjunction.  Returns the level's disequalities, or `None`
+    /// if `f` is not a conjunction of linear integer atoms.
+    fn push_level(&mut self, f: &Formula) -> SmtResult<Option<Vec<Atom>>> {
+        let mut atoms = Vec::new();
+        let literals = conjuncts(f, &mut atoms);
+        let linear = literals
+            && atoms.iter().all(|a| {
+                !a.has_nonarithmetic()
+                    && LinExpr::from_term(&a.lhs).is_ok()
+                    && LinExpr::from_term(&a.rhs).is_ok()
+            });
+        atoms.retain(|a| !a.has_nonarithmetic());
+        self.relaxation.push_level(&atoms)?;
+        Ok(linear.then(|| atoms.into_iter().filter(|a| a.op == RelOp::Ne).collect()))
+    }
+}
+
+/// Collects the literals of `f`'s top-level conjunction into `atoms`,
+/// negated atoms in negation normal form.  Returns `false` if some conjunct
+/// is not a literal (the literals of the others are still collected).
+fn conjuncts(f: &Formula, atoms: &mut Vec<Atom>) -> bool {
+    match f {
+        Formula::True => true,
+        Formula::And(parts) => parts.iter().filter(|p| !conjuncts(p, atoms)).count() == 0,
+        literal if is_literal(literal) => {
+            let Formula::Atom(a) = literal.nnf() else { unreachable!("a literal") };
+            atoms.push(a);
+            true
+        }
+        _ => false,
+    }
+}
+
+/// Returns `true` for an atom or a negated atom.
+fn is_literal(f: &Formula) -> bool {
+    match f {
+        Formula::Atom(_) => true,
+        Formula::Not(inner) => matches!(**inner, Formula::Atom(_)),
+        _ => false,
+    }
+}
+
+/// Decides the relaxation's constraints with `diseqs` by splitting each
+/// disequality into `<`/`>` on the tableau, pruning every infeasible branch
+/// warm.  Every node spends one case-split branch from `budget`, like a node
+/// of the solver's own split tree.
+fn split(relaxation: &mut Relaxation, diseqs: &[&Atom], budget: &Cell<usize>) -> SmtResult<bool> {
+    spend_branch(budget, "in the solver context")?;
+    let Some((a, rest)) = diseqs.split_first() else {
+        return Ok(true);
+    };
+    let depth = relaxation.depth();
+    for op in [RelOp::Lt, RelOp::Gt] {
+        relaxation.push_level(&[Atom::new(a.lhs.clone(), op, a.rhs.clone())])?;
+        let sat = relaxation.is_feasible()? && split(relaxation, rest, budget)?;
+        relaxation.truncate(depth)?;
+        if sat {
+            return Ok(true);
+        }
+    }
+    Ok(false)
 }
 
 #[cfg(test)]

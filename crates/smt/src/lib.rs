@@ -15,9 +15,10 @@
 //! * Craig interpolation for linear rational arithmetic ([`interpolate`]),
 //!   used by the baseline (BLAST-style) refiner,
 //! * an incremental solving layer ([`context`]): a [`SolverContext`] with a
-//!   scoped assumption stack (push/pop) and a keyed cache of boolean query
-//!   results, which the CEGAR engine reuses across abstract-post and
-//!   feasibility queries,
+//!   scoped assumption stack (push/pop), a live simplex tableau of that
+//!   stack on which linear queries are decided warm, and a keyed cache of
+//!   boolean query results, which every engine reuses across its
+//!   abstract-post, feasibility, and unrolling queries,
 //! * thread-local call counters ([`stats`]) so harnesses can report solver
 //!   work per verification task,
 //! * cooperative cancellation ([`cancel`]): a [`CancellationToken`] the

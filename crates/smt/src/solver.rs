@@ -101,7 +101,7 @@ pub enum IntSatResult {
 /// stateless apart from a branch budget.
 #[derive(Clone, Debug)]
 pub struct Solver {
-    max_branches: usize,
+    pub(crate) max_branches: usize,
 }
 
 impl Default for Solver {
@@ -419,7 +419,7 @@ struct SplitTree<'s> {
 }
 
 /// Spends one case-split branch, polling cancellation first.
-fn spend_branch(budget: &Cell<usize>, place: &str) -> SmtResult<()> {
+pub(crate) fn spend_branch(budget: &Cell<usize>, place: &str) -> SmtResult<()> {
     crate::cancel::check_ambient()?;
     let left = budget.get().checked_sub(1).ok_or_else(|| SmtError::Budget {
         message: format!("case-split budget exhausted {place}"),
@@ -512,8 +512,9 @@ impl SplitTree<'_> {
     }
 }
 
-/// The linear relaxation of one root-to-node path of a [`SplitTree`], on a
-/// live tableau: disequalities dropped, reads and applications abstracted
+/// The linear relaxation of one root-to-node path of a [`SplitTree`] (or of
+/// a [`SolverContext`](crate::SolverContext)'s assumption stack, whose
+/// read atoms never reach it), on a live tableau: disequalities dropped, reads and applications abstracted
 /// by variables shared across the tree (identical reads share one), atoms
 /// outside the linear fragment skipped, so the leaves stay the sole source
 /// of `NonLinear` errors.  Each step only removes information, and each
@@ -524,8 +525,8 @@ impl SplitTree<'_> {
 /// `levels[d]` is the checkpoint before depth `d`'s atoms, and
 /// `on_tableau` maps each pushed atom to its depth, so no atom is pushed
 /// twice on one path.
-#[derive(Default)]
-struct Relaxation {
+#[derive(Debug, Default)]
+pub(crate) struct Relaxation {
     tab: IncrementalSimplex<VarRef>,
     instances: Vec<Instance>,
     on_tableau: HashMap<Atom, usize>,
@@ -547,8 +548,13 @@ impl Relaxation {
         Ok(relaxation)
     }
 
+    /// Number of open path levels.
+    pub(crate) fn depth(&self) -> usize {
+        self.levels.len()
+    }
+
     /// Opens the next path level with the atoms not yet on the tableau.
-    fn push_level(&mut self, atoms: &[Atom]) -> SmtResult<()> {
+    pub(crate) fn push_level(&mut self, atoms: &[Atom]) -> SmtResult<()> {
         let depth = self.levels.len();
         self.levels.push(self.tab.checkpoint());
         for a in atoms {
@@ -568,7 +574,7 @@ impl Relaxation {
     }
 
     /// Drops the path levels at `depth` and below.
-    fn truncate(&mut self, depth: usize) -> SmtResult<()> {
+    pub(crate) fn truncate(&mut self, depth: usize) -> SmtResult<()> {
         if let Some(&checkpoint) = self.levels.get(depth) {
             self.levels.truncate(depth);
             self.on_tableau.retain(|_, d| *d < depth);
@@ -577,7 +583,7 @@ impl Relaxation {
         Ok(())
     }
 
-    fn is_feasible(&mut self) -> SmtResult<bool> {
+    pub(crate) fn is_feasible(&mut self) -> SmtResult<bool> {
         if std::mem::replace(&mut self.checked, true) {
             self.tab.check()
         } else {

@@ -23,7 +23,9 @@ use std::cell::Cell;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SmtStats {
     /// Top-level [`Solver::check`](crate::Solver::check) invocations
-    /// (each decides one formula; entailment queries bottom out here).
+    /// (each decides one formula cold; entailment queries bottom out here).
+    /// A [`SolverContext`](crate::SolverContext) query decided on the
+    /// context's live tableau makes no such call.
     pub sat_checks: u64,
     /// Cold simplex solves ([`lra_solve`](crate::lra_solve)): tableau
     /// constructions followed by a full feasibility run.  This is the

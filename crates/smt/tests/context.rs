@@ -3,11 +3,15 @@
 //! answer every satisfiability and entailment query exactly like a fresh
 //! stateless [`Solver`] given the equivalent conjunction — with caching on
 //! (where repeated stack states replay memoized answers) and with caching
-//! off.  This is the soundness argument for the query cache: a hit is
-//! observationally indistinguishable from re-solving.
+//! off.  The stacks mix linear atoms (decided on the context's live
+//! tableau) with disjunctions and array reads (which send a query to the
+//! stateless solver unless the tableau refutes it), so the warm path and
+//! the cold fallback interleave on one context.  This is the soundness
+//! argument for both the live tableau and the query cache: a warm answer
+//! and a cache hit are observationally indistinguishable from re-solving.
 
 use pathinv_ir::{Formula, Term};
-use pathinv_smt::{Solver, SolverContext};
+use pathinv_smt::{stats_snapshot, SmtError, Solver, SolverContext};
 use proptest::prelude::*;
 
 /// One step of a random interaction with the context.
@@ -20,7 +24,8 @@ enum StackOp {
 
 /// A random linear atom `a*x + b*y + c ⋈ 0` over two variables with small
 /// coefficients — small enough that conjunctions stay cheap to decide, rich
-/// enough to produce both satisfiable and unsatisfiable stacks.
+/// enough to produce both satisfiable and unsatisfiable stacks.  Every
+/// relation occurs, disequalities included.
 fn atom_strategy() -> impl Strategy<Value = Formula> {
     (-3i128..=3, -3i128..=3, -4i128..=4, 0u8..=4).prop_map(|(a, b, c, op)| {
         let lhs = Term::int(a)
@@ -38,13 +43,80 @@ fn atom_strategy() -> impl Strategy<Value = Formula> {
     })
 }
 
+/// An atom over an array read: `a[x + k] ⋈ y + c`.
+fn read_strategy() -> impl Strategy<Value = Formula> {
+    (-1i128..=1, -2i128..=2, 0u8..=2).prop_map(|(k, c, op)| {
+        let read = Term::var("a").select(Term::var("x").add(Term::int(k)));
+        let rhs = Term::var("y").add(Term::int(c));
+        match op {
+            0 => Formula::eq(read, rhs),
+            1 => Formula::ne(read, rhs),
+            _ => Formula::le(read, rhs),
+        }
+    })
+}
+
+/// An assumption: mostly linear atoms (and conjunctions of them), with
+/// disjunctions and array reads mixed in.
+fn assumption_strategy() -> impl Strategy<Value = Formula> {
+    prop_oneof![
+        atom_strategy(),
+        atom_strategy(),
+        atom_strategy(),
+        (atom_strategy(), atom_strategy()).prop_map(|(a, b)| Formula::and(vec![a, b])),
+        (atom_strategy(), atom_strategy()).prop_map(|(a, b)| Formula::or(vec![a, b])),
+        read_strategy(),
+    ]
+}
+
 fn op_strategy() -> impl Strategy<Value = StackOp> {
     prop_oneof![
         Just(StackOp::Push),
         Just(StackOp::Pop),
-        atom_strategy().prop_map(StackOp::Assume),
-        atom_strategy().prop_map(StackOp::Assume),
+        assumption_strategy().prop_map(StackOp::Assume),
+        assumption_strategy().prop_map(StackOp::Assume),
     ]
+}
+
+/// A query against the current stack.
+#[derive(Clone, Debug)]
+enum Query {
+    IsSat,
+    IsSatWith(Formula),
+    Entails(Formula),
+}
+
+fn query_strategy() -> impl Strategy<Value = Query> {
+    prop_oneof![
+        Just(Query::IsSat),
+        assumption_strategy().prop_map(Query::IsSatWith),
+        atom_strategy().prop_map(Query::Entails),
+        atom_strategy().prop_map(|a| Query::Entails(a.not())),
+        read_strategy().prop_map(Query::Entails),
+    ]
+}
+
+impl Query {
+    fn ask(&self, ctx: &SolverContext) -> bool {
+        match self {
+            Query::IsSat => ctx.is_sat(),
+            Query::IsSatWith(f) => ctx.is_sat_with(f),
+            Query::Entails(f) => ctx.entails(f),
+        }
+        .expect("context queries stay in budget")
+    }
+
+    fn ask_fresh(&self, conjunction: &Formula) -> bool {
+        let fresh = Solver::new();
+        match self {
+            Query::IsSat => fresh.is_sat(conjunction),
+            Query::IsSatWith(f) => {
+                fresh.is_sat(&Formula::and(vec![conjunction.clone(), f.clone()]))
+            }
+            Query::Entails(f) => fresh.entails(conjunction, f),
+        }
+        .expect("small systems stay in budget")
+    }
 }
 
 /// A shadow model of the context: the flat assumption list plus the frame
@@ -77,49 +149,47 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// After every operation of a random stack script, the context's
-    /// satisfiability answer equals a fresh solver's answer on the
-    /// equivalent conjunction, and the cached and uncached contexts agree.
+    /// answer to a random query — satisfiability of the stack, of the stack
+    /// with an extra formula, or entailment of a literal — equals a fresh
+    /// solver's answer on the equivalent conjunction, for the cached and
+    /// the uncached context alike.
     #[test]
-    fn random_stack_scripts_match_fresh_solver(ops in proptest::collection::vec(op_strategy(), 1..12)) {
-        let fresh = Solver::new();
+    fn random_stack_scripts_match_fresh_solver(
+        steps in proptest::collection::vec((op_strategy(), query_strategy()), 1..12),
+    ) {
         let mut cached = SolverContext::new();
         let mut uncached = SolverContext::uncached();
         let mut shadow = Shadow::default();
-        for op in &ops {
-            match op {
-                StackOp::Push => {
-                    cached.push();
-                    uncached.push();
-                }
-                StackOp::Pop => {
-                    cached.pop();
-                    uncached.pop();
-                }
-                StackOp::Assume(f) => {
-                    cached.assume(f.clone());
-                    uncached.assume(f.clone());
+        for (op, query) in &steps {
+            for ctx in [&mut cached, &mut uncached] {
+                match op {
+                    StackOp::Push => ctx.push(),
+                    StackOp::Pop => {
+                        ctx.pop();
+                    }
+                    StackOp::Assume(f) => ctx.assume(f.clone()),
                 }
             }
             shadow.apply(op);
             prop_assert_eq!(cached.num_assumptions(), shadow.assumptions.len());
-            let expected = fresh.is_sat(&shadow.conjunction()).expect("small systems stay in budget");
-            let got_cached = cached.is_sat().expect("context must stay in budget");
-            let got_uncached = uncached.is_sat().expect("context must stay in budget");
-            prop_assert_eq!(got_cached, expected);
-            prop_assert_eq!(got_uncached, expected);
+            let conjunction = shadow.conjunction();
+            let expected = Query::IsSat.ask_fresh(&conjunction);
+            prop_assert_eq!(cached.is_sat().expect("context must stay in budget"), expected);
+            prop_assert_eq!(uncached.is_sat().expect("context must stay in budget"), expected);
+            let expected = query.ask_fresh(&conjunction);
+            prop_assert_eq!(query.ask(&cached), expected);
+            prop_assert_eq!(query.ask(&uncached), expected);
         }
-        // Entailment of each assumed atom (and one foreign atom) must also
+        // Entailment of each assumed literal (and one foreign atom) must also
         // match the fresh solver on the final stack.
         let ante = shadow.conjunction();
         let mut goals: Vec<Formula> = shadow.assumptions.clone();
         goals.push(Formula::ge(Term::var("x").add(Term::var("y")), Term::int(-9)));
         for goal in goals {
-            let expected = fresh.entails(&ante, &goal).expect("entailment stays in budget");
+            let expected = Solver::new().entails(&ante, &goal).expect("entailment stays in budget");
             prop_assert_eq!(cached.entails(&goal).expect("context entailment"), expected);
             prop_assert_eq!(uncached.entails(&goal).expect("context entailment"), expected);
         }
-        // Replaying the whole script's final query hits the cache, and the
-        // cache never answered differently from the fresh solver above.
         let stats = cached.stats();
         prop_assert!(stats.cache_hits <= stats.queries);
     }
@@ -169,8 +239,8 @@ proptest! {
     /// popping them again.
     #[test]
     fn pop_restores_previous_answers(
-        base in proptest::collection::vec(atom_strategy(), 0..4),
-        extra in proptest::collection::vec(atom_strategy(), 1..4),
+        base in proptest::collection::vec(assumption_strategy(), 0..4),
+        extra in proptest::collection::vec(assumption_strategy(), 1..4),
     ) {
         let fresh = Solver::new();
         let mut ctx = SolverContext::new();
@@ -193,4 +263,74 @@ proptest! {
         // The post-pop query is a replay of the pre-push query: cache hit.
         prop_assert!(ctx.stats().cache_hits >= 1);
     }
+}
+
+/// A linear stack with a disequality is decided on the live tableau: after
+/// the first query builds it, push/assume/query/pop rounds cost warm
+/// re-checks only — no cold simplex build and no combined-solver call —
+/// including the rounds whose answer needs the disequality split.
+#[test]
+fn linear_rounds_stay_warm_after_the_first_query() {
+    let x = || Term::var("x");
+    let mut ctx = SolverContext::uncached();
+    ctx.assume(Formula::ge(x(), Term::int(5)));
+    ctx.assume(Formula::ne(x(), Term::int(5)));
+    assert!(ctx.is_sat().unwrap());
+    let before = stats_snapshot();
+    for k in 4..12 {
+        ctx.push();
+        ctx.assume(Formula::le(x(), Term::int(k)));
+        // x in [5, k] without 5: empty for k <= 5.
+        assert_eq!(ctx.is_sat().unwrap(), k > 5, "k = {k}");
+        assert!(ctx.entails(&Formula::le(x(), Term::int(k + 1))).unwrap());
+        assert_eq!(ctx.entails(&Formula::eq(x(), Term::int(6))).unwrap(), k <= 6, "k = {k}");
+        assert!(!ctx.is_sat_with(&Formula::eq(x(), Term::int(5))).unwrap());
+        assert!(ctx.pop());
+    }
+    let spent = stats_snapshot().since(&before);
+    assert_eq!(spent.simplex_calls, 0, "{spent:?}");
+    assert_eq!(spent.sat_checks, 0, "{spent:?}");
+    assert!(spent.simplex_warm_checks > 0, "{spent:?}");
+}
+
+/// A stack with an array read is refuted warm when its linear part is
+/// infeasible, and otherwise falls back to the stateless solver.
+#[test]
+fn array_reads_fall_back_cold_unless_refuted_warm() {
+    let mut ctx = SolverContext::uncached();
+    ctx.assume(Formula::eq(Term::var("a").select(Term::var("i")), Term::int(1)));
+    ctx.assume(Formula::ge(Term::var("i"), Term::int(0)));
+    let before = stats_snapshot();
+    assert!(!ctx.is_sat_with(&Formula::lt(Term::var("i"), Term::int(0))).unwrap());
+    assert!(ctx.entails(&Formula::gt(Term::var("i"), Term::int(-1))).unwrap());
+    assert_eq!(stats_snapshot().since(&before).sat_checks, 0, "refuted on the tableau");
+    assert!(ctx.is_sat().unwrap());
+    assert!(!ctx
+        .entails(&Formula::eq(Term::var("a").select(Term::var("i")), Term::int(2)))
+        .unwrap());
+    assert_eq!(stats_snapshot().since(&before).sat_checks, 2, "reads go to the solver");
+}
+
+/// A warm-path error is returned from the query that met it, never raised
+/// inside `assume`, and leaves the context usable: an atom whose
+/// coefficients overflow while the stack is synced makes the query fail
+/// with `Overflow`, a budget of one branch makes a disequality split fail
+/// with `Budget`, and once those frames are popped the next query answers.
+#[test]
+fn warm_path_errors_are_returned_and_recovered_from() {
+    let x = || Term::var("x");
+    let mut ctx = SolverContext::with_solver(Solver::with_budget(1), false);
+    ctx.assume(Formula::ge(x(), Term::int(0)));
+    assert!(ctx.is_sat().unwrap());
+    ctx.push();
+    let huge = Term::int(i128::MAX).mul(x()).add(Term::int(i128::MAX).mul(x()));
+    ctx.assume(Formula::le(huge, Term::int(0)));
+    assert_eq!(ctx.is_sat(), Err(SmtError::Overflow));
+    assert!(ctx.pop());
+    assert!(ctx.is_sat().unwrap());
+    ctx.push();
+    ctx.assume(Formula::ne(x(), Term::int(1)));
+    assert!(matches!(ctx.is_sat(), Err(SmtError::Budget { .. })));
+    assert!(ctx.pop());
+    assert!(!ctx.is_sat_with(&Formula::lt(x(), Term::int(0))).unwrap());
 }
