@@ -32,7 +32,10 @@
 //! * candidate extensions are processed best-first — fewest non-zero
 //!   multipliers first, under a documented deterministic total order
 //!   (`multiplier_choices`) — so the surviving frontier holds the least
-//!   surprising Farkas proofs regardless of how many branches were pruned.
+//!   surprising Farkas proofs regardless of how many branches were pruned;
+//!   options are encoded one score tier at a time, and only while the next
+//!   frontier is still short, so the tiers a full frontier never reaches are
+//!   never encoded.
 //!
 //! Universally quantified array rows are reduced to scalar implications
 //! exactly as in §4.2: a fresh index `k*`, a case split on whether the read
@@ -229,16 +232,7 @@ pub fn synthesize(
     templates: &TemplateMap,
     config: &SynthConfig,
 ) -> InvgenResult<Synthesis> {
-    let paths = basic_paths(program)?;
-    let mut implications = Vec::new();
-    for bp in &paths {
-        implications.extend(conditions_for_basic_path(program, templates, bp)?);
-    }
-    // Safety conditions first: they prune the parameter space fastest.
-    implications.sort_by_key(|imp| match imp.consequent {
-        Consequent::False => 0,
-        Consequent::Row(_) => 1,
-    });
+    let implications = verification_conditions(program, templates)?;
     let mut stats = SynthStats { implications: implications.len(), ..Default::default() };
 
     // Each frontier entry carries a live incremental tableau over its
@@ -265,41 +259,9 @@ pub fn synthesize(
     let mut frontier: Vec<FrontierEntry> = vec![FrontierEntry::default()];
     let mut learned: Vec<ConflictCore> = Vec::new();
     for (idx, imp) in implications.iter().enumerate() {
-        let options = encode_options(imp, idx as u32, config)?;
         let pos = idx as u32;
-
-        // Best-first candidate order across the whole frontier: simplest
-        // option first, then parent order, then option order.  The sort is
-        // stable and every key component is deterministic.
-        let mut candidates: Vec<(usize, usize)> = Vec::new();
-        for parent in 0..frontier.len() {
-            for opt in 0..options.len() {
-                candidates.push((parent, opt));
-            }
-        }
-        candidates.sort_by_key(|&(parent, opt)| (options[opt].score, parent, opt));
-
-        let next = if config.parallel_workers > 1 {
-            advance_frontier_parallel(
-                &frontier,
-                &options,
-                &candidates,
-                pos,
-                &mut learned,
-                config,
-                &mut stats,
-            )?
-        } else {
-            advance_frontier_sequential(
-                &frontier,
-                &options,
-                &candidates,
-                pos,
-                &mut learned,
-                config,
-                &mut stats,
-            )?
-        };
+        let mut tiers = OptionTiers::new(imp, pos, config);
+        let next = advance_frontier(&frontier, &mut tiers, pos, &mut learned, config, &mut stats)?;
         if next.is_empty() {
             return Err(InvgenError::no_invariant(format!(
                 "condition `{}` has no solution within the multiplier bounds",
@@ -366,6 +328,23 @@ pub fn synthesize(
     })
 }
 
+/// The implications of every basic path, in search order: safety
+/// conditions first, because they prune the parameter space fastest.
+fn verification_conditions(
+    program: &Program,
+    templates: &TemplateMap,
+) -> InvgenResult<Vec<Implication>> {
+    let mut implications = Vec::new();
+    for bp in &basic_paths(program)? {
+        implications.extend(conditions_for_basic_path(program, templates, bp)?);
+    }
+    implications.sort_by_key(|imp| match imp.consequent {
+        Consequent::False => 0,
+        Consequent::Row(_) => 1,
+    });
+    Ok(implications)
+}
+
 /// Outcome of evaluating one `(parent, option)` candidate against a fixed
 /// core set.  The feasible child is a deterministic function of the parent
 /// entry and the option alone — cores and caps only decide whether the
@@ -392,7 +371,7 @@ enum CandidateOutcome {
 /// never mutates shared state — the caller merges the outcome.
 fn evaluate_candidate(
     acc: &FrontierEntry,
-    option: &EncodedOption,
+    option: &[LinConstraint<Unknown>],
     pos: u32,
     opt_idx: u32,
     learned: &[ConflictCore],
@@ -418,7 +397,7 @@ fn evaluate_candidate(
     // definitions (in creation order; later definitions never
     // mention earlier-eliminated unknowns).
     let mut rows: Vec<(LinConstraint<Unknown>, Deps)> =
-        option.rows.iter().map(|c| (c.clone(), vec![pos])).collect();
+        option.iter().map(|c| (c.clone(), vec![pos])).collect();
     for (x, def, def_deps) in &acc.subst {
         for (c, deps) in &mut rows {
             let b = c.expr.coeff(x);
@@ -498,6 +477,14 @@ fn evaluate_candidate(
     }
 }
 
+/// The frontier under construction for one implication, carried across its
+/// score tiers: the kept children in merge order, and how many of them each
+/// parent contributed.
+struct NextFrontier {
+    entries: Vec<FrontierEntry>,
+    kept_per_parent: Vec<usize>,
+}
+
 /// Folds one evaluated candidate into the next frontier, bumping the
 /// counters the way the sequential loop does and learning any conflict
 /// core the evaluation extracted.
@@ -508,8 +495,7 @@ fn merge_outcome(
     opt: u32,
     pos: u32,
     parent_decisions: &[u32],
-    next: &mut Vec<FrontierEntry>,
-    kept_per_parent: &mut [usize],
+    next: &mut NextFrontier,
     learned: &mut Vec<ConflictCore>,
     config: &SynthConfig,
     stats: &mut SynthStats,
@@ -530,8 +516,8 @@ fn merge_outcome(
             if used_lp {
                 stats.lp_calls += 1;
             }
-            next.push(*child);
-            kept_per_parent[parent] += 1;
+            next.entries.push(*child);
+            next.kept_per_parent[parent] += 1;
         }
         CandidateOutcome::Infeasible(core_deps) => {
             stats.lp_calls += 1;
@@ -542,25 +528,78 @@ fn merge_outcome(
     }
 }
 
-/// The sequential frontier advance: candidates in best-first order, caps
-/// applied before evaluation, cores learned as soon as they are extracted.
-#[allow(clippy::too_many_arguments)]
-fn advance_frontier_sequential(
+/// Advances the frontier across one implication.
+///
+/// Candidates are consumed best-first by `(score, parent, option)`, so a
+/// score tier's candidates all precede the next tier's, and the advance
+/// stops once the next frontier holds `max_frontier` entries.  The options
+/// are therefore encoded one tier at a time, and a tier is encoded only
+/// while the next frontier is still short: the tiers after the stopping
+/// point are never encoded at all.  Option indices, candidate order, and
+/// stopping point are exactly those of encoding every tier up front.
+fn advance_frontier(
     frontier: &[FrontierEntry],
-    options: &[EncodedOption],
-    candidates: &[(usize, usize)],
+    tiers: &mut OptionTiers<'_>,
     pos: u32,
     learned: &mut Vec<ConflictCore>,
     config: &SynthConfig,
     stats: &mut SynthStats,
 ) -> InvgenResult<Vec<FrontierEntry>> {
-    let mut next: Vec<FrontierEntry> = Vec::new();
-    let mut kept_per_parent = vec![0usize; frontier.len()];
+    let mut next = NextFrontier { entries: Vec::new(), kept_per_parent: vec![0; frontier.len()] };
+    while next.entries.len() < config.max_frontier {
+        let Some(tier) = tiers.encode_next()? else {
+            break;
+        };
+        // Within a tier: parent order, then option order.
+        let candidates: Vec<(usize, usize)> = (0..frontier.len())
+            .flat_map(|parent| tier.clone().map(move |opt| (parent, opt)))
+            .collect();
+        if config.parallel_workers > 1 {
+            advance_tier_parallel(
+                frontier,
+                &tiers.options,
+                &candidates,
+                pos,
+                &mut next,
+                learned,
+                config,
+                stats,
+            )?;
+        } else {
+            advance_tier_sequential(
+                frontier,
+                &tiers.options,
+                &candidates,
+                pos,
+                &mut next,
+                learned,
+                config,
+                stats,
+            )?;
+        }
+    }
+    Ok(next.entries)
+}
+
+/// The sequential advance over one tier's candidates: best-first order,
+/// caps applied before evaluation, cores learned as soon as they are
+/// extracted.
+#[allow(clippy::too_many_arguments)]
+fn advance_tier_sequential(
+    frontier: &[FrontierEntry],
+    options: &[Vec<LinConstraint<Unknown>>],
+    candidates: &[(usize, usize)],
+    pos: u32,
+    next: &mut NextFrontier,
+    learned: &mut Vec<ConflictCore>,
+    config: &SynthConfig,
+    stats: &mut SynthStats,
+) -> InvgenResult<()> {
     for &(parent, opt_idx) in candidates {
-        if next.len() >= config.max_frontier {
+        if next.entries.len() >= config.max_frontier {
             break;
         }
-        if kept_per_parent[parent] >= config.max_options_per_step {
+        if next.kept_per_parent[parent] >= config.max_options_per_step {
             continue;
         }
         // One cancellation poll per beam candidate — the poll granularity
@@ -582,18 +621,18 @@ fn advance_frontier_sequential(
             opt_idx as u32,
             pos,
             &frontier[parent].decisions,
-            &mut next,
-            &mut kept_per_parent,
+            next,
             learned,
             config,
             stats,
         );
     }
-    Ok(next)
+    Ok(())
 }
 
-/// The parallel frontier advance: candidates are evaluated in waves on
-/// scoped worker threads and merged *in the sequential candidate order*.
+/// The parallel advance over one tier's candidates: they are evaluated in
+/// waves on scoped worker threads and merged *in the sequential candidate
+/// order*.
 ///
 /// Determinism argument (DESIGN.md §12): a candidate's outcome is a pure
 /// function of its parent entry and option — cores only *skip* evaluations
@@ -605,25 +644,24 @@ fn advance_frontier_sequential(
 /// worker count.  Only the work counters can differ, because workers may
 /// evaluate candidates the sequential loop would have skipped.
 #[allow(clippy::too_many_arguments)]
-fn advance_frontier_parallel(
+fn advance_tier_parallel(
     frontier: &[FrontierEntry],
-    options: &[EncodedOption],
+    options: &[Vec<LinConstraint<Unknown>>],
     candidates: &[(usize, usize)],
     pos: u32,
+    next: &mut NextFrontier,
     learned: &mut Vec<ConflictCore>,
     config: &SynthConfig,
     stats: &mut SynthStats,
-) -> InvgenResult<Vec<FrontierEntry>> {
+) -> InvgenResult<()> {
     let workers = config.parallel_workers;
-    let mut next: Vec<FrontierEntry> = Vec::new();
-    let mut kept_per_parent = vec![0usize; frontier.len()];
     // Waves keep speculation bounded: the sequential search stops once the
     // frontier fills, so evaluating every candidate eagerly would waste the
     // tail.  A few candidates per worker per wave is enough to keep every
     // worker busy without racing far past the caps.
     let wave_size = workers * 4;
     let mut cursor = 0usize;
-    'waves: while cursor < candidates.len() && next.len() < config.max_frontier {
+    'waves: while cursor < candidates.len() && next.entries.len() < config.max_frontier {
         // One cancellation poll per wave (workers do not inherit the
         // coordinator's ambient token; the coordinator polls for them).
         pathinv_smt::check_ambient().map_err(InvgenError::from)?;
@@ -676,10 +714,10 @@ fn advance_frontier_parallel(
         });
         // Ordered merge: identical cap logic, identical push order.
         for (&(parent, opt_idx), outcome) in wave.iter().zip(wave_outcomes) {
-            if next.len() >= config.max_frontier {
+            if next.entries.len() >= config.max_frontier {
                 break 'waves;
             }
-            if kept_per_parent[parent] >= config.max_options_per_step {
+            if next.kept_per_parent[parent] >= config.max_options_per_step {
                 continue;
             }
             stats.choices_explored += 1;
@@ -690,15 +728,14 @@ fn advance_frontier_parallel(
                 opt_idx as u32,
                 pos,
                 &frontier[parent].decisions,
-                &mut next,
-                &mut kept_per_parent,
+                next,
                 learned,
                 config,
                 stats,
             );
         }
     }
-    Ok(next)
+    Ok(())
 }
 
 /// Biases a surviving entry's witness toward *growing* array ranges: for
@@ -784,16 +821,16 @@ fn learn_core(
     }
 }
 
-/// One candidate extension of an implication: the (possibly presolved) rows
-/// to push, and the best-first score (non-zero multiplier count of the
-/// generating choice).
-struct EncodedOption {
-    rows: Vec<LinConstraint<Unknown>>,
-    score: usize,
-}
-
-/// Generates the Farkas option encodings (variant × multiplier choice) for an
-/// implication.
+/// The Farkas option encodings (variant × multiplier choice) of one
+/// implication, encoded lazily one score tier at a time.  An option is the
+/// row set one branch pushes to extend by it; its index in `options` is the
+/// decision recorded for it.
+///
+/// A choice's *score* is its non-zero multiplier count, the best-first key
+/// of the frontier search.  [`multiplier_choices`] sorts the choices by
+/// score, so a tier is a contiguous run of choices, and encoding the tiers
+/// in turn with one `seen` set appends exactly the options, at exactly the
+/// indices, that encoding every choice at once would.
 ///
 /// With presolve enabled, each option's rows are reduced once here, shared
 /// by every branch that considers the option: the implication's concrete-row
@@ -801,16 +838,47 @@ struct EncodedOption {
 /// defining equalities are Gaussian-eliminated context-free.  Options whose
 /// reduced system is already contradictory, and options whose reduced rows
 /// duplicate an earlier option's, are dropped outright.
-fn encode_options(
-    imp: &Implication,
+struct OptionTiers<'a> {
+    imp: &'a Implication,
     index: u32,
-    config: &SynthConfig,
-) -> InvgenResult<Vec<EncodedOption>> {
-    let lambda_choices = multiplier_choices(&imp.parametric, config);
-    let mut out: Vec<EncodedOption> = Vec::new();
-    let mut seen: HashSet<Vec<LinConstraint<Unknown>>> = HashSet::new();
-    for lambda in &lambda_choices {
-        let score = lambda.iter().filter(|c| !c.is_zero()).count();
+    presolve: bool,
+    /// The choices not yet encoded, in [`multiplier_choices`] order.
+    choices: std::iter::Peekable<std::vec::IntoIter<Vec<Rat>>>,
+    /// Reduced row sets encoded so far (later duplicates are dropped).
+    seen: HashSet<Vec<LinConstraint<Unknown>>>,
+    /// The options encoded so far, by option index.
+    options: Vec<Vec<LinConstraint<Unknown>>>,
+}
+
+impl<'a> OptionTiers<'a> {
+    fn new(imp: &'a Implication, index: u32, config: &SynthConfig) -> OptionTiers<'a> {
+        OptionTiers {
+            imp,
+            index,
+            presolve: config.presolve,
+            choices: multiplier_choices(&imp.parametric, config).into_iter().peekable(),
+            seen: HashSet::new(),
+            options: Vec::new(),
+        }
+    }
+
+    /// Encodes the next score tier; returns the indices of the options it
+    /// added (possibly none), or `None` once every tier is encoded.
+    fn encode_next(&mut self) -> InvgenResult<Option<std::ops::Range<usize>>> {
+        let score = |lambda: &Vec<Rat>| lambda.iter().filter(|c| !c.is_zero()).count();
+        let Some(tier) = self.choices.peek().map(score) else {
+            return Ok(None);
+        };
+        let start = self.options.len();
+        while let Some(lambda) = self.choices.next_if(|l| score(l) == tier) {
+            self.encode(&lambda)?;
+        }
+        Ok(Some(start..self.options.len()))
+    }
+
+    /// Encodes the variants of one multiplier choice.
+    fn encode(&mut self, lambda: &[Rat]) -> InvgenResult<()> {
+        let (imp, index) = (self.imp, self.index);
         let mut variants = Vec::new();
         match &imp.consequent {
             Consequent::Row(expr) => {
@@ -822,27 +890,26 @@ fn encode_options(
             }
         }
         for rows in variants {
-            let rows = if config.presolve {
-                let tagged = rows.into_iter().map(|c| (c, vec![index])).collect();
-                let presolved = presolve_tagged(tagged, &|u| matches!(u, Unknown::Mu { .. }))?;
-                if presolved.conflict.is_some() {
-                    // Self-contradictory under this multiplier choice: the
-                    // option can never extend any branch.
-                    continue;
-                }
-                presolved.rows.into_iter().map(|(c, _)| c).collect::<Vec<_>>()
-            } else {
-                rows
-            };
-            if config.presolve && !seen.insert(rows.clone()) {
-                // Distinct multiplier choices frequently reduce to the same
-                // row set; later (higher-score) duplicates add nothing.
+            if !self.presolve {
+                self.options.push(rows);
                 continue;
             }
-            out.push(EncodedOption { rows, score });
+            let tagged = rows.into_iter().map(|c| (c, vec![index])).collect();
+            let presolved = presolve_tagged(tagged, &|u| matches!(u, Unknown::Mu { .. }))?;
+            if presolved.conflict.is_some() {
+                // Self-contradictory under this multiplier choice: the
+                // option can never extend any branch.
+                continue;
+            }
+            let rows: Vec<_> = presolved.rows.into_iter().map(|(c, _)| c).collect();
+            // Distinct multiplier choices frequently reduce to the same row
+            // set; later (higher-score) duplicates add nothing.
+            if self.seen.insert(rows.clone()) {
+                self.options.push(rows);
+            }
         }
+        Ok(())
     }
-    Ok(out)
 }
 
 /// Enumerates candidate multiplier vectors for the parametric rows, in the
@@ -852,7 +919,8 @@ fn encode_options(
 /// count): ascending by the number of non-zero multipliers, ties broken
 /// lexicographically by each row's *candidate index* (its position in
 /// `ineq_multipliers`/`eq_multipliers`), rows compared left to right.
-/// Best-first traversal of the frontier relies on this order being total.
+/// Best-first traversal of the frontier relies on this order being total,
+/// and [`OptionTiers`] on the non-zero count being its primary key.
 ///
 /// **Pruning** (choices removed without losing any satisfiable encoding):
 ///
@@ -1240,7 +1308,7 @@ fn array_conditions(
             let mut concrete = case.scalar.clone();
             // k* = w.index.
             concrete.push(LinConstraint::new(
-                kstar.sub(&widx)?.eval(&ParamValuation::new()).map_err(keep)?,
+                kstar.sub(&widx)?.eval(&ParamValuation::new())?,
                 ConstrOp::Eq,
             ));
             let mut parametric = source_rows.to_vec();
@@ -1292,10 +1360,6 @@ fn array_conditions(
         )?);
     }
     Ok(out)
-}
-
-fn keep(e: InvgenError) -> InvgenError {
-    e
 }
 
 /// Conditions for a cell whose value is preserved along the path: the range
@@ -1651,6 +1715,132 @@ mod tests {
         let config = SynthConfig { parallel_workers: 4, ..SynthConfig::default() };
         let err = synthesize(&buggy, &templates, &config).unwrap_err();
         assert!(matches!(err, InvgenError::NoInvariant { .. }));
+    }
+
+    /// FORWARD, INITCHECK, and BUGGY_INITCHECK with the templates the
+    /// tests above use.
+    fn pinned_cases() -> Vec<(&'static str, Program, TemplateMap)> {
+        let forward = corpus::forward();
+        let mut forward_templates = TemplateMap::new();
+        let vars =
+            [Symbol::intern("i"), Symbol::intern("n"), Symbol::intern("a"), Symbol::intern("b")];
+        let l1 = corpus::find_loc(&forward, "L1");
+        forward_templates.add_scalar_row(l1, &vars, RowOp::Eq).unwrap();
+        forward_templates.add_scalar_row(l1, &vars, RowOp::Le).unwrap();
+
+        let initcheck = corpus::initcheck();
+        let mut initcheck_templates = TemplateMap::new();
+        let scalars = [Symbol::intern("i"), Symbol::intern("n")];
+        for label in ["L1", "L3"] {
+            let loc = corpus::find_loc(&initcheck, label);
+            initcheck_templates
+                .add_array_row(loc, Symbol::intern("a"), &scalars, RelOp::Eq)
+                .unwrap();
+        }
+
+        let buggy = corpus::buggy_initcheck();
+        let mut buggy_templates = TemplateMap::new();
+        let l1 = corpus::find_loc(&buggy, "L1");
+        buggy_templates
+            .add_array_row(l1, Symbol::intern("a"), &[Symbol::intern("i")], RelOp::Eq)
+            .unwrap();
+
+        vec![
+            ("FORWARD", forward, forward_templates),
+            ("INITCHECK", initcheck, initcheck_templates),
+            ("BUGGY_INITCHECK", buggy, buggy_templates),
+        ]
+    }
+
+    #[test]
+    fn synthesis_results_and_work_are_pinned() {
+        // Encoding options one score tier at a time and shrinking cores by
+        // toggling bounds skip only work whose result was never read: the
+        // counters, solver work, implications, and valuation are those of
+        // encoding every option up front and re-pushing each core probe.
+        // (Invariants are compared structurally: their rendering follows
+        // the symbol interning order, which other tests share.)
+        type Pin = (&'static str, [u64; 4], (u64, u64), Option<(usize, &'static [i128])>);
+        let pins: [Pin; 3] = [
+            // (program, [systems solved, branches explored, branches
+            // pruned, cores learned], (cold, warm) simplex checks,
+            // (implications, valuation) or `None` for no invariant)
+            (
+                "FORWARD",
+                [471, 700, 170, 426],
+                (0, 2239),
+                Some((11, &[-3, 0, 1, 1, 0, 0, -3, 1, 1, 0])),
+            ),
+            (
+                "INITCHECK",
+                [151, 710, 106, 44],
+                (0, 337),
+                Some((25, &[0, 0, 0, 1, 0, -1, 0, 0, 0, 1, 0, 0, 0, 1, -1, 0, 0, 0])),
+            ),
+            ("BUGGY_INITCHECK", [169, 583, 153, 62], (1, 360), None),
+        ];
+        for ((name, program, templates), (pinned, counters, work, solution)) in
+            pinned_cases().into_iter().zip(pins)
+        {
+            assert_eq!(name, pinned);
+            let smt_before = pathinv_smt::stats_snapshot();
+            let synth_before = crate::stats::snapshot();
+            let result = synthesize(&program, &templates, &SynthConfig::default());
+            let smt = pathinv_smt::stats_snapshot().since(&smt_before);
+            let c = crate::stats::snapshot().since(&synth_before);
+            let live = [c.systems_solved, c.branches_explored, c.branches_pruned, c.cores_learned];
+            assert_eq!(live, counters, "{name}");
+            assert_eq!((smt.simplex_calls, smt.simplex_warm_checks), work, "{name}");
+            match (result, solution) {
+                (Ok(s), Some((implications, values))) => {
+                    let [lp_calls, choices_explored, branches_pruned, cores_learned] =
+                        counters.map(|n| n as usize);
+                    let stats = SynthStats {
+                        implications,
+                        lp_calls,
+                        choices_explored,
+                        branches_pruned,
+                        cores_learned,
+                    };
+                    assert_eq!(s.stats, stats, "{name}");
+                    let valuation: ParamValuation = values
+                        .iter()
+                        .enumerate()
+                        .map(|(p, &v)| (crate::template::ParamId(p as u32), Rat::int(v)))
+                        .collect();
+                    assert_eq!(s.valuation, valuation, "{name}");
+                    assert_eq!(s.invariants, templates.instantiate(&valuation).unwrap(), "{name}");
+                }
+                (Err(e), None) => {
+                    assert!(e.to_string().contains("fractional template coefficients"), "{e}")
+                }
+                (result, _) => panic!("{name}: unexpected outcome {:?}", result.map(|s| s.stats)),
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_frontier_leaves_score_tiers_unencoded() {
+        // The advance stops once the next frontier fills; the tiers after
+        // that point must never have been encoded.
+        let (_, program, templates) = pinned_cases().swap_remove(0);
+        let config = SynthConfig::default();
+        let mut frontier = vec![FrontierEntry::default()];
+        let (mut learned, mut stats) = (Vec::new(), SynthStats::default());
+        let mut cut_short = 0;
+        for (idx, imp) in verification_conditions(&program, &templates).unwrap().iter().enumerate()
+        {
+            let pos = idx as u32;
+            let mut tiers = OptionTiers::new(imp, pos, &config);
+            frontier =
+                advance_frontier(&frontier, &mut tiers, pos, &mut learned, &config, &mut stats)
+                    .unwrap();
+            assert!(!frontier.is_empty(), "{}", imp.label);
+            if tiers.encode_next().unwrap().is_some() {
+                cut_short += 1;
+            }
+        }
+        assert!(cut_short > 0, "every implication encoded all of its tiers");
     }
 
     #[test]

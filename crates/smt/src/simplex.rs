@@ -493,14 +493,12 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
     /// becoming satisfiable.
     ///
     /// Uses the standard deletion filter over the certificate support,
-    /// scanning in ascending index order for determinism, on *one* reused
-    /// scratch tableau: rows already decided to stay form the persistent
-    /// prefix, and each candidate is probed by pushing the undecided suffix
-    /// at a checkpoint, warm re-checking, and popping — so the whole filter
-    /// costs one probe (a genuine tableau-reuse warm check) per support
-    /// row, never a cold rebuild.  The certificate support is typically a
-    /// handful of rows, so the filter is cheap relative to the conflict
-    /// that produced it.
+    /// scanning in ascending index order for determinism, on *one* scratch
+    /// tableau holding the whole support.  Each candidate is probed by
+    /// lifting its slack's bounds and warm re-checking: a droppable row
+    /// stays lifted, a needed row gets its bounds back.  Probe `i` therefore
+    /// decides `kept ∪ support[i+1..]`, and the whole filter costs one warm
+    /// check per support row and no cold rebuild.
     ///
     /// # Errors
     ///
@@ -510,25 +508,33 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
         let support = self.conflict_core().ok_or_else(|| {
             SmtError::unsupported("minimal_infeasible_subsystem requires a failed check")
         })?;
-        let rows = self.active_constraints();
-        // Invariant: `scratch` holds exactly the kept rows, and
-        // kept ∪ support[i..] is infeasible when candidate `i` is reached.
         let mut scratch: IncrementalSimplex<K> = IncrementalSimplex::new();
+        for &i in &support {
+            let c = &self.constraints[i];
+            scratch.push_constraint(&LinConstraint::new(c.expr.clone(), c.op))?;
+        }
+        // Invariant: exactly the kept rows and support[i..] are bounded, and
+        // they are jointly infeasible when candidate `i` is reached.
+        let slacks: Vec<usize> = scratch.constraints.iter().map(|c| c.slack).collect();
         let mut kept: Vec<usize> = Vec::new();
-        for (i, &candidate) in support.iter().enumerate() {
-            let checkpoint = scratch.checkpoint();
-            for &j in &support[i + 1..] {
-                scratch.push_constraint(&rows[j])?;
-            }
-            let droppable = !scratch.check()?;
-            scratch.pop_to(checkpoint)?;
-            if !droppable {
-                scratch.push_constraint(&rows[candidate])?;
+        for (probe, &candidate) in slacks.into_iter().zip(&support) {
+            let bounds = (scratch.lower[probe].take(), scratch.upper[probe].take());
+            if scratch.check()? {
+                // The row is needed, so the witness violates it: its slack
+                // moved while lifted, which a non-basic column does only by
+                // entering the basis, and a free basic column never leaves
+                // it (the Bland loop pivots out violated variables only).
+                // So the slack is basic, and the next check repairs it like
+                // any basic variable outside its bounds.
+                debug_assert!(scratch.rows.contains_key(&probe), "needed slack left the basis");
+                (scratch.lower[probe], scratch.upper[probe]) = bounds;
                 kept.push(candidate);
             }
         }
+        // Checked without recording stats, so work counters do not depend
+        // on the build profile.
         debug_assert!(
-            !scratch.check()?,
+            !scratch.check_inner()?,
             "the shrunk core must still be infeasible (certificate support was not?)"
         );
         Ok(kept)

@@ -2,15 +2,17 @@
 //!
 //! Re-runs every corpus program through the whole engine portfolio — CEGAR
 //! with both refiners, bounded model checking, and PDR-lite — in parallel,
-//! through the same harness the `pathinv-cli` binary uses, and diffs the
-//! deterministic outcome fields — verdict, refinement count, solver calls,
-//! cold simplex builds, cache hits, and the per-engine exploration
-//! counters per (program, engine, refiner) task — against the committed
-//! snapshot in
-//! `tests/golden/corpus.json`.  Any PR that flips a verdict, changes how
-//! many refinements a proof needs, or regresses the solver-call discipline
-//! fails here immediately.  The same run feeds the differential check: no
-//! two engines may reach contradictory conclusions on any corpus program.
+//! through the same harness the `pathinv-cli` binary uses, and diffs every
+//! field of each (program, engine, refiner) task — verdict, refinement
+//! count, predicates, ART nodes, solver calls, cold and warm simplex work,
+//! interpolants, cache hits, the per-engine exploration counters, the
+//! synthesis counters, and the certificate triple — against the committed
+//! snapshot in `tests/golden/corpus.json`.  Any PR that flips a verdict,
+//! changes how many refinements a proof needs, or moves a work counter
+//! fails here immediately, in debug and release builds alike: the counters
+//! do not depend on the build profile.  The same run feeds the
+//! differential check: no two engines may reach contradictory conclusions
+//! on any corpus program.
 //!
 //! To regenerate the snapshot (and the benchmark goldens) after an
 //! *intentional* change:
@@ -24,27 +26,12 @@ use pathinv_cli::json::{self, Json};
 use pathinv_cli::{corpus_programs, make_tasks, run_batch, EngineChoice, RefinerChoice};
 use std::collections::BTreeMap;
 
-/// The deterministic fields of one task outcome.  The certificate triple
-/// (kind, size, digest) pins the exact proof artifact every engine emits:
-/// an engine that silently changes — or stops producing — its certificate
-/// for any corpus task fails here even if the verdict is unchanged.
-#[derive(Debug, PartialEq, Eq)]
-struct Outcome {
-    verdict: String,
-    refinements: i64,
-    solver_calls: i64,
-    simplex_calls: i64,
-    query_cache_hits: i64,
-    post_cache_hits: i64,
-    engine_depth: i64,
-    engine_nodes: i64,
-    engine_lemmas: i64,
-    cert_kind: String,
-    cert_size: i64,
-    cert_digest: String,
-}
-
-type OutcomeMap = BTreeMap<(String, String, String), Outcome>;
+/// Every golden task object, keyed by (program, engine, refiner).  The
+/// certificate triple (kind, size, digest) among the fields pins the exact
+/// proof artifact every engine emits: an engine that silently changes — or
+/// stops producing — its certificate for any corpus task fails here even if
+/// the verdict is unchanged.
+type OutcomeMap = BTreeMap<(String, String, String), Json>;
 
 fn outcomes_from_golden_json(doc: &Json) -> OutcomeMap {
     let tasks = doc
@@ -59,29 +46,30 @@ fn outcomes_from_golden_json(doc: &Json) -> OutcomeMap {
                 .unwrap_or_else(|| panic!("golden task missing string field `{name}`"))
                 .to_string()
         };
-        let int_field = |name: &str| {
-            task.get(name)
-                .and_then(Json::as_int)
-                .unwrap_or_else(|| panic!("golden task missing int field `{name}`"))
-        };
         let key = (field("program"), field("engine"), field("refiner"));
-        let outcome = Outcome {
-            verdict: field("verdict"),
-            refinements: int_field("refinements"),
-            solver_calls: int_field("solver_calls"),
-            simplex_calls: int_field("simplex_calls"),
-            query_cache_hits: int_field("query_cache_hits"),
-            post_cache_hits: int_field("post_cache_hits"),
-            engine_depth: int_field("engine_depth"),
-            engine_nodes: int_field("engine_nodes"),
-            engine_lemmas: int_field("engine_lemmas"),
-            cert_kind: field("cert_kind"),
-            cert_size: int_field("cert_size"),
-            cert_digest: field("cert_digest"),
-        };
-        assert!(map.insert(key.clone(), outcome).is_none(), "duplicate golden task {key:?}");
+        assert!(map.insert(key.clone(), task.clone()).is_none(), "duplicate golden task {key:?}");
     }
     map
+}
+
+/// The fields on which two task objects differ, as `name: golden -> live`.
+fn field_diffs(golden: &Json, live: &Json) -> Vec<String> {
+    let (Json::Object(golden_fields), Json::Object(live_fields)) = (golden, live) else {
+        return vec![format!("golden {golden:?}, live {live:?}")];
+    };
+    let names: std::collections::BTreeSet<&String> =
+        golden_fields.iter().chain(live_fields).map(|(name, _)| name).collect();
+    names
+        .into_iter()
+        .filter_map(|name| {
+            let (g, l) = (golden.get(name), live.get(name));
+            (g != l).then(|| format!("{name}: {} -> {}", show(g), show(l)))
+        })
+        .collect()
+}
+
+fn show(value: Option<&Json>) -> String {
+    value.map_or_else(|| "absent".to_string(), Json::compact)
 }
 
 fn jobs() -> usize {
@@ -114,9 +102,8 @@ fn corpus_verdicts_and_refinement_counts_match_golden_snapshot() {
     for (key, golden_outcome) in &golden {
         match live.get(key) {
             None => failures.push(format!("{key:?}: in golden snapshot but not produced")),
-            Some(live_outcome) if live_outcome != golden_outcome => {
-                failures.push(format!("{key:?}: golden {golden_outcome:?}, live {live_outcome:?}"))
-            }
+            Some(live_outcome) if live_outcome != golden_outcome => failures
+                .push(format!("{key:?}: {}", field_diffs(golden_outcome, live_outcome).join(", "))),
             Some(_) => {}
         }
     }
