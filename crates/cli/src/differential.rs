@@ -15,7 +15,8 @@
 //! [`DifferentialReport::from_batch`] groups a portfolio
 //! [`BatchReport`] by program; the CLI hard-fails (nonzero exit) when
 //! [`DifferentialReport::disagreements`] is non-empty, and the
-//! `differential-smoke` CI job runs exactly that over the full corpus.
+//! `certify-smoke` CI job runs exactly that over the full corpus (together
+//! with the certificate audit).
 
 use crate::json::Json;
 use crate::{engine_rank, BatchReport};

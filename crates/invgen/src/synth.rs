@@ -50,6 +50,7 @@ use crate::template::{ParamId, ParamLin, ParamValuation, RowOp, Template, Templa
 use pathinv_ir::{Formula, Loc, Program, RelOp, Symbol, VarRef};
 use pathinv_smt::{ConstrOp, IncrementalSimplex, LinConstraint, LinExpr, Rat};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::sync::Arc;
 
 /// Unknowns of the generated linear constraint system.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -184,6 +185,13 @@ pub struct SynthStats {
 /// completion, the per-pushed-row decision dependencies for conflict-core
 /// mapping, and the row/variable sets already in the tableau for cross-batch
 /// dedup and elimination safety.
+///
+/// Every candidate extension clones its parent entry, so pushed rows are
+/// shared, not copied: the tableau's constraint expressions and `seen_rows`
+/// hold `Arc`s (not `Rc`: the parallel beam hands entries to worker
+/// threads), and the tableau's rows are sparse.  A clone copies the non-zero
+/// tableau coefficients, the per-column vectors and the other bookkeeping,
+/// and bumps two reference counts per pushed row.
 #[derive(Clone, Debug, Default)]
 struct FrontierEntry {
     /// Option index chosen per implication, in implication order.
@@ -197,7 +205,7 @@ struct FrontierEntry {
     /// Decision dependencies of each pushed tableau row, in push order.
     row_deps: Vec<Deps>,
     /// Rows already pushed (cross-batch duplicates are skipped).
-    seen_rows: HashSet<LinConstraint<Unknown>>,
+    seen_rows: HashSet<Arc<LinConstraint<Unknown>>>,
     /// Unknowns already appearing in pushed rows (they must never be
     /// eliminated: the pushed rows would keep referencing them).
     seen_vars: BTreeSet<Unknown>,
@@ -445,13 +453,11 @@ fn evaluate_candidate(
     let mut child = acc.clone();
     child.decisions.push(opt_idx);
     child.subst.extend(new_elims);
-    for (c, deps) in &rows {
-        child.tableau.push_constraint(c)?;
-        child.row_deps.push(deps.clone());
-        child.seen_rows.insert(c.clone());
-        for v in c.expr.vars() {
-            child.seen_vars.insert(v);
-        }
+    for (c, deps) in rows {
+        child.tableau.push_constraint(&c)?;
+        child.row_deps.push(deps);
+        child.seen_vars.extend(c.expr.vars());
+        child.seen_rows.insert(Arc::new(c));
     }
     if witness_holds {
         return Ok(CandidateOutcome::Feasible(Box::new(child), false));

@@ -17,6 +17,7 @@ use crate::linexpr::{ConstrOp, LinConstraint, LinExpr};
 use crate::rat::{DeltaRat, Rat};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
+use std::sync::Arc;
 
 /// Outcome of a linear-programming feasibility query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -120,55 +121,52 @@ pub fn solve<K: Ord + Clone + Debug>(constraints: &[LinConstraint<K>]) -> SmtRes
         tab.push_constraint(c)?;
     }
     if tab.check_inner()? {
-        Ok(LpResult::Sat(tab.extract_model()?))
+        Ok(LpResult::Sat(tab.model()?))
     } else {
         Ok(LpResult::Unsat(tab.take_certificate()))
     }
 }
 
-/// Checks whether the conjunction of `constraints` entails `goal`
-/// (a single constraint), by refuting `constraints ∧ ¬goal`.
-///
-/// Only `≤`, `<` and `=` goals are supported; `=` goals are checked as the
-/// conjunction of the two inequalities.
-pub fn entails<K: Ord + Clone + Debug>(
-    constraints: &[LinConstraint<K>],
-    goal: &LinConstraint<K>,
-) -> SmtResult<bool> {
-    let negations: Vec<LinConstraint<K>> = match goal.op {
-        // ¬(e ≤ 0)  ≡  -e < 0
-        ConstrOp::Le => {
-            vec![LinConstraint::new(goal.expr.scale(Rat::MINUS_ONE)?, ConstrOp::Lt)]
-        }
-        // ¬(e < 0)  ≡  -e ≤ 0
-        ConstrOp::Lt => {
-            vec![LinConstraint::new(goal.expr.scale(Rat::MINUS_ONE)?, ConstrOp::Le)]
-        }
-        // ¬(e = 0)  ≡  e < 0 ∨ -e < 0 : check both cases.
-        ConstrOp::Eq => {
-            vec![
-                LinConstraint::new(goal.expr.clone(), ConstrOp::Lt),
-                LinConstraint::new(goal.expr.scale(Rat::MINUS_ONE)?, ConstrOp::Lt),
-            ]
-        }
-    };
-    for neg in negations {
-        let mut cs = constraints.to_vec();
-        cs.push(neg);
-        if solve(&cs)?.is_sat() {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
-/// One active constraint of an [`IncrementalSimplex`]: its expression, its
-/// operator, and the tableau column of its slack variable.
+/// One active constraint of an [`IncrementalSimplex`]: its expression
+/// (shared, so cloning a tableau never deep-copies it), its operator, and
+/// the tableau column of its slack variable.
 #[derive(Clone, Debug)]
 struct ActiveConstraint<K: Ord + Clone> {
-    expr: LinExpr<K>,
+    expr: Arc<LinExpr<K>>,
     op: ConstrOp,
     slack: usize,
+}
+
+/// A sparse tableau row: `(column, coefficient)` pairs in strictly
+/// ascending column order, non-zero coefficients only.
+type Row = Vec<(usize, Rat)>;
+
+/// The coefficient of column `col` in `row` (zero when absent).
+fn coeff_at(row: &[(usize, Rat)], col: usize) -> Rat {
+    row.binary_search_by_key(&col, |&(k, _)| k).map_or(Rat::ZERO, |i| row[i].1)
+}
+
+/// `row + c · other` by a sorted merge that drops exact zeros.  Each entry
+/// of `other` costs one `row[k].add(c.mul(other[k]))`, in ascending column
+/// order — the arithmetic of the dense update, minus its zero entries.
+fn add_scaled(row: &[(usize, Rat)], c: Rat, other: &[(usize, Rat)]) -> SmtResult<Row> {
+    let mut out = Vec::with_capacity(row.len() + other.len());
+    let mut rest = row.iter().copied().peekable();
+    for &(k, b) in other {
+        while let Some(entry) = rest.next_if(|&(l, _)| l < k) {
+            out.push(entry);
+        }
+        let term = c.mul(b)?;
+        let sum = match rest.next_if(|&(l, _)| l == k) {
+            Some((_, a)) => a.add(term)?,
+            None => term,
+        };
+        if !sum.is_zero() {
+            out.push((k, sum));
+        }
+    }
+    out.extend(rest);
+    Ok(out)
 }
 
 /// An incremental simplex solver with constraint push/pop and warm-started
@@ -185,6 +183,14 @@ struct ActiveConstraint<K: Ord + Clone> {
 /// [`SmtStats::simplex_warm_checks`](crate::SmtStats), separately from the
 /// cold tableau constructions in
 /// [`SmtStats::simplex_calls`](crate::SmtStats).
+///
+/// Rows are sparse and constraint expressions are shared, so cloning a
+/// tableau (the synthesis beam clones one per candidate extension) copies
+/// only the non-zero coefficients and bumps one reference count per active
+/// constraint.  Sparsity changes no result: Bland's rule scans a row's
+/// entries in column order, so it picks the same pivot a scan over every
+/// column would, and each surviving coefficient is computed by the same
+/// exact operations as in a dense tableau.
 ///
 /// Answers are identical to a cold solve of the active constraint set: the
 /// arithmetic is exact, so only the number of pivots — never the verdict —
@@ -205,9 +211,10 @@ pub struct IncrementalSimplex<K: Ord + Clone> {
     upper: Vec<Option<DeltaRat>>,
     /// Current assignment.
     beta: Vec<DeltaRat>,
-    /// Rows of basic variables: `basic -> coefficients over all columns`
-    /// (non-zero only at non-basic columns).
-    rows: BTreeMap<usize, Vec<Rat>>,
+    /// Rows of basic variables: `basic -> sparse row` over the non-basic
+    /// columns (ascending, non-zero coefficients only), so adding a column,
+    /// cloning the tableau, and pivoting never touch the zeros.
+    rows: BTreeMap<usize, Row>,
     /// Farkas certificate of the most recent failed check.
     conflict: Option<FarkasCertificate>,
 }
@@ -250,9 +257,6 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
         self.lower.push(None);
         self.upper.push(None);
         self.beta.push(DeltaRat::ZERO);
-        for row in self.rows.values_mut() {
-            row.push(Rat::ZERO);
-        }
         col
     }
 
@@ -275,34 +279,32 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
     ///
     /// Propagates arithmetic overflow.
     pub fn push_constraint(&mut self, c: &LinConstraint<K>) -> SmtResult<()> {
-        for v in c.expr.vars() {
+        self.push_shared(Arc::new(c.expr.clone()), c.op)
+    }
+
+    /// [`push_constraint`](IncrementalSimplex::push_constraint) of an
+    /// already-shared expression.
+    fn push_shared(&mut self, expr: Arc<LinExpr<K>>, op: ConstrOp) -> SmtResult<()> {
+        for v in expr.vars() {
             self.ensure_column(&v);
         }
         let slack = self.add_column(None);
-        let mut row = vec![Rat::ZERO; self.total()];
-        for (v, coeff) in c.expr.terms() {
+        let mut row: Row = Vec::new();
+        for (v, coeff) in expr.terms() {
+            // A basic variable is replaced by its row, a non-basic one is
+            // its own unit row.
             let col = self.index[v];
-            if let Some(basic_row) = self.rows.get(&col) {
-                let basic_row = basic_row.clone();
-                for (k, &a) in basic_row.iter().enumerate() {
-                    if !a.is_zero() {
-                        row[k] = row[k].add(coeff.mul(a)?)?;
-                    }
-                }
-            } else {
-                row[col] = row[col].add(coeff)?;
-            }
+            let unit = [(col, Rat::ONE)];
+            row = add_scaled(&row, coeff, self.rows.get(&col).map_or(&unit[..], Vec::as_slice))?;
         }
         let mut value = DeltaRat::ZERO;
-        for (k, &a) in row.iter().enumerate() {
-            if !a.is_zero() {
-                value = value.add(self.beta[k].scale(a)?)?;
-            }
+        for &(k, a) in &row {
+            value = value.add(self.beta[k].scale(a)?)?;
         }
         self.beta[slack] = value;
         self.rows.insert(slack, row);
-        let bound = c.expr.constant_part().neg()?;
-        match c.op {
+        let bound = expr.constant_part().neg()?;
+        match op {
             ConstrOp::Le => self.upper[slack] = Some(DeltaRat::real(bound)),
             ConstrOp::Lt => self.upper[slack] = Some(DeltaRat::just_below(bound)),
             ConstrOp::Eq => {
@@ -310,7 +312,7 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
                 self.lower[slack] = Some(DeltaRat::real(bound));
             }
         }
-        self.constraints.push(ActiveConstraint { expr: c.expr.clone(), op: c.op, slack });
+        self.constraints.push(ActiveConstraint { expr, op, slack });
         Ok(())
     }
 
@@ -319,8 +321,10 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
     /// reclaimed when they sit at the end of the column range (the common
     /// LIFO push/pop discipline), so a long case-split search does not
     /// widen the tableau monotonically; a popped slack buried under
-    /// still-active columns merely goes dead (zero in every row, no
-    /// bounds) until the columns above it are reclaimed too.
+    /// still-active columns merely goes dead (absent from every row, no
+    /// bounds) until the columns above it are reclaimed too.  Rows never
+    /// store dead columns, so reclaiming one only shortens the per-column
+    /// vectors.
     ///
     /// # Errors
     ///
@@ -334,11 +338,11 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
             if !self.rows.contains_key(&s) {
                 // The slack was pivoted into the non-basic set; bring it
                 // back to the basis so the remaining rows stop referencing
-                // it, then discard its row.  (Once zeroed everywhere and
+                // it, then discard its row.  (Once absent everywhere and
                 // unbounded, a dead column can never re-enter the basis:
                 // pivot targets need a non-zero row coefficient.)
                 let referencing =
-                    self.rows.iter().find(|(_, row)| !row[s].is_zero()).map(|(&b, _)| b);
+                    self.rows.iter().find(|(_, row)| !coeff_at(row, s).is_zero()).map(|(&b, _)| b);
                 if let Some(b) = referencing {
                     self.pivot(b, s)?;
                 }
@@ -352,7 +356,8 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
 
     /// Truncates every trailing column that is a dead slack: not a problem
     /// variable, not the slack of an active constraint, not basic, and
-    /// (invariantly, after `pop_to`'s basis restoration) zero in every row.
+    /// (invariantly, after `pop_to`'s basis restoration) absent from every
+    /// row.
     fn reclaim_trailing_dead_columns(&mut self) {
         while let Some(last) = self.total().checked_sub(1) {
             let is_dead_slack = self.keys[last].is_none()
@@ -360,7 +365,7 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
                 && self.lower[last].is_none()
                 && self.upper[last].is_none()
                 && self.constraints.iter().all(|c| c.slack != last)
-                && self.rows.values().all(|row| row[last].is_zero());
+                && self.rows.values().all(|row| coeff_at(row, last).is_zero());
             if !is_dead_slack {
                 break;
             }
@@ -368,9 +373,6 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
             self.lower.pop();
             self.upper.pop();
             self.beta.pop();
-            for row in self.rows.values_mut() {
-                row.pop();
-            }
         }
     }
 
@@ -409,48 +411,28 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
             let Some(b) = violated else {
                 return Ok(true);
             };
-            let v = self.beta[b];
-            if self.lower[b].is_some_and(|l| v < l) {
-                // Need to increase x_b.
-                let target = self.lower[b].expect("bound checked");
-                let row = self.rows[&b].clone();
-                let pivot = (0..self.total()).find(|&j| {
-                    if self.rows.contains_key(&j) || row[j].is_zero() {
-                        return false;
-                    }
-                    if row[j].is_positive() {
-                        self.upper[j].is_none_or(|u| self.beta[j] < u)
-                    } else {
-                        self.lower[j].is_none_or(|l| self.beta[j] > l)
-                    }
-                });
-                match pivot {
-                    Some(j) => self.pivot_and_update(b, j, target)?,
-                    None => {
-                        self.conflict = Some(self.build_conflict(b, &row, true)?);
-                        return Ok(false);
-                    }
+            let lower_violation = self.lower[b].is_some_and(|l| self.beta[b] < l);
+            let target = if lower_violation { self.lower[b] } else { self.upper[b] };
+            // Bland's rule: the smallest non-basic column that can move x_b
+            // toward its violated bound.  Moving up needs a positive
+            // coefficient on a column below its upper bound or a negative
+            // one on a column above its lower bound; moving down the
+            // reverse.
+            let row = &self.rows[&b];
+            let pivot = row.iter().find(|&&(j, a)| {
+                if a.is_positive() == lower_violation {
+                    self.upper[j].is_none_or(|u| self.beta[j] < u)
+                } else {
+                    self.lower[j].is_none_or(|l| self.beta[j] > l)
                 }
-            } else {
-                // Need to decrease x_b.
-                let target = self.upper[b].expect("bound checked");
-                let row = self.rows[&b].clone();
-                let pivot = (0..self.total()).find(|&j| {
-                    if self.rows.contains_key(&j) || row[j].is_zero() {
-                        return false;
-                    }
-                    if row[j].is_negative() {
-                        self.upper[j].is_none_or(|u| self.beta[j] < u)
-                    } else {
-                        self.lower[j].is_none_or(|l| self.beta[j] > l)
-                    }
-                });
-                match pivot {
-                    Some(j) => self.pivot_and_update(b, j, target)?,
-                    None => {
-                        self.conflict = Some(self.build_conflict(b, &row, false)?);
-                        return Ok(false);
-                    }
+            });
+            match pivot {
+                Some(&(j, _)) => {
+                    self.pivot_and_update(b, j, target.expect("bound checked"))?;
+                }
+                None => {
+                    self.conflict = Some(self.build_conflict(b, row, lower_violation)?);
+                    return Ok(false);
                 }
             }
         }
@@ -483,7 +465,7 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
     /// The active constraints, in push order (the index space of
     /// [`conflict_core`](IncrementalSimplex::conflict_core)).
     pub fn active_constraints(&self) -> Vec<LinConstraint<K>> {
-        self.constraints.iter().map(|c| LinConstraint::new(c.expr.clone(), c.op)).collect()
+        self.constraints.iter().map(|c| LinConstraint::new((*c.expr).clone(), c.op)).collect()
     }
 
     /// Shrinks the conflict support of the most recent failed check into an
@@ -511,7 +493,7 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
         let mut scratch: IncrementalSimplex<K> = IncrementalSimplex::new();
         for &i in &support {
             let c = &self.constraints[i];
-            scratch.push_constraint(&LinConstraint::new(c.expr.clone(), c.op))?;
+            scratch.push_shared(Arc::clone(&c.expr), c.op)?;
         }
         // Invariant: exactly the kept rows and support[i..] are bounded, and
         // they are jointly infeasible when candidate `i` is reached.
@@ -545,67 +527,51 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
     fn build_conflict(
         &self,
         b: usize,
-        row: &[Rat],
+        row: &[(usize, Rat)],
         lower_violation: bool,
     ) -> SmtResult<FarkasCertificate> {
-        let mut slack_to_constraint: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut constraint_of_slack: Vec<Option<usize>> = vec![None; self.total()];
         for (i, c) in self.constraints.iter().enumerate() {
-            slack_to_constraint.insert(c.slack, i);
+            constraint_of_slack[c.slack] = Some(i);
         }
-        let mut mult = vec![Rat::ZERO; self.constraints.len()];
         let constraint_of = |col: usize| -> SmtResult<usize> {
-            slack_to_constraint.get(&col).copied().ok_or_else(|| {
+            constraint_of_slack[col].ok_or_else(|| {
                 SmtError::unsupported("internal error: conflict row mentions an unbounded column")
             })
         };
+        let mut mult = vec![Rat::ZERO; self.constraints.len()];
         let cb = constraint_of(b)?;
         if lower_violation {
             // -1 · e_b  +  Σ_j a_bj · e_j
             mult[cb] = mult[cb].sub(Rat::ONE)?;
-            for (j, &a) in row.iter().enumerate() {
-                if a.is_zero() || j == b {
-                    continue;
-                }
+            for &(j, a) in row {
                 let cj = constraint_of(j)?;
                 mult[cj] = mult[cj].add(a)?;
             }
         } else {
             // +1 · e_b  -  Σ_j a_bj · e_j
             mult[cb] = mult[cb].add(Rat::ONE)?;
-            for (j, &a) in row.iter().enumerate() {
-                if a.is_zero() || j == b {
-                    continue;
-                }
+            for &(j, a) in row {
                 let cj = constraint_of(j)?;
                 mult[cj] = mult[cj].sub(a)?;
             }
         }
         let cert = FarkasCertificate { multipliers: mult };
         debug_assert!(
-            cert.verify(
-                &self
-                    .constraints
-                    .iter()
-                    .map(|c| LinConstraint::new(c.expr.clone(), c.op))
-                    .collect::<Vec<_>>()
-            )?,
+            cert.verify(&self.active_constraints())?,
             "produced an invalid Farkas certificate"
         );
         Ok(cert)
     }
 
     fn pivot_and_update(&mut self, b: usize, j: usize, target: DeltaRat) -> SmtResult<()> {
-        let a_bj = self.rows[&b][j];
+        let a_bj = coeff_at(&self.rows[&b], j);
         let theta = target.sub(self.beta[b])?.scale(a_bj.recip()?)?;
         self.beta[b] = target;
         self.beta[j] = self.beta[j].add(theta)?;
-        let basics: Vec<usize> = self.rows.keys().copied().collect();
-        for k in basics {
-            if k == b {
-                continue;
-            }
-            let a_kj = self.rows[&k][j];
-            if !a_kj.is_zero() {
+        for (&k, row) in &self.rows {
+            let a_kj = coeff_at(row, j);
+            if k != b && !a_kj.is_zero() {
                 self.beta[k] = self.beta[k].add(theta.scale(a_kj)?)?;
             }
         }
@@ -614,28 +580,20 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
 
     fn pivot(&mut self, b: usize, j: usize) -> SmtResult<()> {
         let row_b = self.rows.remove(&b).expect("pivot row must be basic");
-        let a = row_b[j];
+        let a_inv = coeff_at(&row_b, j).recip()?;
         // New row expressing x_j in terms of x_b and the other non-basics.
-        let mut row_j = vec![Rat::ZERO; self.total()];
-        let a_inv = a.recip()?;
-        row_j[b] = a_inv;
-        for (k, &coeff) in row_b.iter().enumerate() {
-            if k == j || coeff.is_zero() {
-                continue;
+        let mut row_j: Row = Vec::with_capacity(row_b.len());
+        for &(k, coeff) in &row_b {
+            if k != j {
+                row_j.push((k, coeff.neg()?.mul(a_inv)?));
             }
-            row_j[k] = coeff.neg()?.mul(a_inv)?;
         }
+        row_j.insert(row_j.partition_point(|&(k, _)| k < b), (b, a_inv));
         // Substitute x_j in all remaining rows.
         for row in self.rows.values_mut() {
-            let c = row[j];
-            if c.is_zero() {
-                continue;
-            }
-            row[j] = Rat::ZERO;
-            for k in 0..row_j.len() {
-                if !row_j[k].is_zero() {
-                    row[k] = row[k].add(c.mul(row_j[k])?)?;
-                }
+            if let Ok(i) = row.binary_search_by_key(&j, |&(k, _)| k) {
+                let c = row.remove(i).1;
+                *row = add_scaled(row, c, &row_j)?;
             }
         }
         self.rows.insert(j, row_j);
@@ -643,19 +601,14 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
     }
 
     /// The current witness assignment of the problem variables (valid after
-    /// a successful check).
+    /// a successful check): the delta-rational assignment instantiated with
+    /// a concrete positive δ small enough that every active constraint
+    /// still holds.
     ///
     /// # Errors
     ///
     /// Propagates arithmetic overflow from the δ instantiation.
     pub fn model(&self) -> SmtResult<BTreeMap<K, Rat>> {
-        self.extract_model()
-    }
-
-    /// Converts the delta-rational assignment of the problem variables into a
-    /// plain rational model by choosing a concrete small positive δ.
-    fn extract_model(&self) -> SmtResult<BTreeMap<K, Rat>> {
-        // Find a δ small enough that every active constraint still holds.
         // Each constraint evaluates to A + B·δ; it imposes an upper limit on δ
         // only when A < 0 and B > 0 (for ≤ / <) — see rat.rs for semantics.
         let mut delta = Rat::ONE;
@@ -693,6 +646,7 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
 mod tests {
     use super::*;
     use pathinv_ir::{Formula, Term, VarRef};
+    use proptest::prelude::*;
 
     fn c(f: Formula) -> LinConstraint<VarRef> {
         LinConstraint::from_atom(&f.atoms()[0]).unwrap()
@@ -815,22 +769,6 @@ mod tests {
     }
 
     #[test]
-    fn entailment_queries() {
-        let x = Term::var("x");
-        let y = Term::var("y");
-        let ante =
-            vec![c(Formula::le(x.clone(), y.clone())), c(Formula::le(y.clone(), Term::int(5)))];
-        assert!(entails(&ante, &c(Formula::le(x.clone(), Term::int(5)))).unwrap());
-        assert!(!entails(&ante, &c(Formula::le(x.clone(), Term::int(4)))).unwrap());
-        assert!(entails(&ante, &c(Formula::le(x.clone(), Term::int(6)))).unwrap());
-        // Equality goal.
-        let ante_eq =
-            vec![c(Formula::le(x.clone(), Term::int(3))), c(Formula::ge(x.clone(), Term::int(3)))];
-        assert!(entails(&ante_eq, &c(Formula::eq(x.clone(), Term::int(3)))).unwrap());
-        assert!(!entails(&ante_eq, &c(Formula::eq(x, Term::int(4)))).unwrap());
-    }
-
-    #[test]
     fn unconstrained_variables_get_some_value() {
         let x = Term::var("x");
         let cs = vec![c(Formula::le(x.clone(), x.clone().add(Term::int(1))))];
@@ -924,5 +862,100 @@ mod tests {
         assert!(cert.verify(&cs).unwrap());
         cert.multipliers[0] = Rat::ZERO;
         assert!(!cert.verify(&cs).unwrap());
+    }
+
+    /// Asserts the tableau invariants: every row is strictly ascending,
+    /// free of zero coefficients and of basic columns; every basic value is
+    /// its row applied to the non-basic values; and, when `feasible` (after
+    /// a successful check), every column is within its bounds.
+    fn assert_tableau_invariants<K: Ord + Clone + Debug>(
+        tab: &IncrementalSimplex<K>,
+        feasible: bool,
+    ) {
+        for (&b, row) in &tab.rows {
+            assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "row {b} not ascending: {row:?}");
+            assert!(row.iter().all(|&(k, a)| !a.is_zero() && !tab.rows.contains_key(&k)));
+            let mut value = DeltaRat::ZERO;
+            for &(k, a) in row {
+                value = value.add(tab.beta[k].scale(a).unwrap()).unwrap();
+            }
+            assert_eq!(value, tab.beta[b], "basic column {b} drifted from its row");
+        }
+        if feasible {
+            for (col, v) in tab.beta.iter().enumerate() {
+                assert!(tab.lower[col].is_none_or(|l| l <= *v), "column {col} below its bound");
+                assert!(tab.upper[col].is_none_or(|u| *v <= u), "column {col} above its bound");
+            }
+        }
+    }
+
+    /// One step of a random incremental session.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Push(LinConstraint<u32>),
+        Check,
+        /// Pops to this checkpoint, clamped to the current one.
+        PopTo(usize),
+    }
+
+    /// A random constraint over at most five variables, coefficients in
+    /// −3..3.
+    fn constraint_strategy() -> impl Strategy<Value = LinConstraint<u32>> {
+        let op = prop_oneof![Just(ConstrOp::Le), Just(ConstrOp::Lt), Just(ConstrOp::Eq)];
+        (proptest::collection::vec(-3i128..=3, 1..=5), -3i128..=3, op).prop_map(
+            |(coeffs, k, op)| {
+                let mut e = LinExpr::constant(Rat::int(k));
+                for (v, a) in coeffs.into_iter().enumerate() {
+                    e.add_term(v as u32, Rat::int(a)).unwrap();
+                }
+                LinConstraint::new(e, op)
+            },
+        )
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            constraint_strategy().prop_map(Op::Push),
+            constraint_strategy().prop_map(Op::Push),
+            Just(Op::Check),
+            (0usize..30).prop_map(Op::PopTo),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random push/check/pop sessions keep the sparse tableau
+        /// well-formed after every operation, and every warm check agrees
+        /// with a cold solve of the active constraints: a `Sat` model
+        /// satisfies every active row, an `Unsat` certificate verifies.
+        #[test]
+        fn tableau_invariants_survive_push_check_pop(
+            ops in proptest::collection::vec(op_strategy(), 0..=30)
+        ) {
+            let mut tab: IncrementalSimplex<u32> = IncrementalSimplex::new();
+            for op in ops {
+                let mut feasible = false;
+                match op {
+                    Op::Push(c) => tab.push_constraint(&c).unwrap(),
+                    Op::PopTo(n) => tab.pop_to(n.min(tab.checkpoint())).unwrap(),
+                    Op::Check => {
+                        let active = tab.active_constraints();
+                        feasible = tab.check().unwrap();
+                        prop_assert_eq!(feasible, solve(&active).unwrap().is_sat());
+                        if feasible {
+                            let model = tab.model().unwrap();
+                            let value = |v: &u32| model.get(v).copied().unwrap_or(Rat::ZERO);
+                            for c in &active {
+                                prop_assert!(c.holds(&value).unwrap(), "model violates {:?}", c);
+                            }
+                        } else {
+                            prop_assert!(tab.take_certificate().verify(&active).unwrap());
+                        }
+                    }
+                }
+                assert_tableau_invariants(&tab, feasible);
+            }
+        }
     }
 }
