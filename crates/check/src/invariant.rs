@@ -18,7 +18,7 @@
 //! location — so no execution reaches it.
 
 use crate::certificate::{CertVerdict, InvariantCert};
-use crate::refute::{CheckLimits, Refutation, Refuter};
+use crate::refute::{CheckLimits, Premises, Refutation, Refuter};
 use pathinv_ir::ssa::{encode_action, rename_to_versions, VersionMap};
 use pathinv_ir::{Formula, Program};
 use std::collections::BTreeMap;
@@ -130,19 +130,27 @@ fn consecution(refuter: &mut Refuter, pre: &Formula, tau: &Formula, post: &Formu
 /// each distinct conjunct is refuted at most once per source and transition.
 /// Only a source that no single disjunct covers falls back to the general
 /// (branching) refutation.
+///
+/// A target conjunct that one conjunct of `source ∧ tau` already entails
+/// ([`Premises`]) is refuted without a query, and so is a conjunctive
+/// target all of whose conjuncts are.
 fn consecution_from(
     refuter: &mut Refuter,
     source: &Formula,
     tau: &Formula,
     post: &Formula,
 ) -> Refutation {
+    let premises = Premises::new(&[source, tau]);
     if let Formula::Or(parts) = post {
         let mut known: BTreeMap<Formula, Refutation> = BTreeMap::new();
         for part in parts {
             let mut verdict = Refutation::Refuted;
             for c in part.conjuncts() {
                 let negated = c.clone().not();
-                verdict = *known.entry(c).or_insert_with(|| {
+                verdict = *known.entry(c).or_insert_with_key(|c| {
+                    if premises.entails(c) {
+                        return Refutation::Refuted;
+                    }
                     refuter.refute(&Formula::and(vec![source.clone(), tau.clone(), negated]))
                 });
                 if verdict != Refutation::Refuted {
@@ -153,6 +161,8 @@ fn consecution_from(
                 return verdict;
             }
         }
+    } else if post.conjuncts().iter().all(|c| premises.entails(c)) {
+        return Refutation::Refuted;
     }
     let query = Formula::and(vec![source.clone(), tau.clone(), post.clone().not()]);
     refuter.refute(&query)

@@ -13,7 +13,12 @@
 //! necessarily share, since it *defines* the program being talked about —
 //! (b) Fourier–Motzkin elimination over exact rationals plus integer
 //! coefficient normalization, a ~200-line algorithm, and (c) this crate's
-//! ~1k lines of glue.  A bug anywhere in the engines' abstraction,
+//! ~1.1k lines of glue (comments and tests excluded).  The glue includes
+//! one shortcut, single-premise entailment ([`Premises`]): it answers a
+//! query `P ∧ ¬c` without elimination only when one premise row and `¬c`,
+//! integer-normalized, contradict each other directly, which is a
+//! contradiction Fourier–Motzkin would derive from the same literals.
+//! A bug anywhere in the engines' abstraction,
 //! refinement, frames, interpolation, simplex, or caching layers is caught
 //! by the audit; only a *matching* bug in the two independent decision
 //! paths could let a wrong verdict through.
@@ -61,7 +66,7 @@ pub mod trace;
 pub use bounded::check_bounded;
 pub use certificate::{BoundedCert, CertVerdict, Certificate, InvariantCert, TraceCert};
 pub use invariant::check_inductive;
-pub use refute::{CheckLimits, Refutation, Refuter};
+pub use refute::{CheckLimits, Premises, Refutation, Refuter};
 pub use trace::{check_trace, decode_model};
 
 use pathinv_ir::Program;

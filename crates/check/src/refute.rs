@@ -47,6 +47,18 @@
 //! * **Fourier–Motzkin elimination**: variables are eliminated one by one;
 //!   elimination is exact over the rationals, so a ground contradiction
 //!   refutes the branch a fortiori over the integers.
+//! * **Single-premise entailment** ([`Premises`]): a query `P ∧ ¬c` is
+//!   answered `Refuted` without running the pipeline when one linear atom
+//!   of the conjunction `P`, integer-normalized to `e + m ≤ 0`, has the
+//!   same variable part as `c` normalized to `e + k ≤ 0` and `m ≥ k` (an
+//!   equation counts as both of its inequalities, and an equation `c` needs
+//!   both of its inequalities entailed).  Sound because the two normalized
+//!   rows, `e ≤ −m` and the tightened `¬c`, `e ≥ 1 − k`, are contradictory
+//!   over the rationals, so Fourier–Motzkin on any literal set holding both
+//!   derives a ground contradiction: the rule skips only work that would
+//!   refute the query.  Disequalities, non-linear atoms, array reads and
+//!   atoms over variables the pipeline may treat as arrays are never
+//!   entailed.
 
 use pathinv_ir::formula::{Atom, RelOp};
 use pathinv_ir::{Formula, Symbol, Term, VarRef};
@@ -491,6 +503,133 @@ impl Refuter {
     }
 }
 
+/// The variable part of a linear row: its non-zero coefficients, by
+/// variable.
+type VarPart = Vec<(VarRef, Rat)>;
+
+/// The linear premises `P` of a family of queries `P ∧ ¬c`, indexed once so
+/// that a conclusion `c` one premise already entails is answered without a
+/// query (the single-premise rule of the module docs).
+///
+/// Only top-level conjuncts that are linear atoms over integer variables are
+/// indexed; ignoring the rest can only make [`Premises::entails`] answer
+/// `false` more often.
+pub struct Premises {
+    /// Per integer-normalized variable part `e`, the largest constant `m` of
+    /// a premise row `e + m ≤ 0`.  An equation `e + m = 0` counts both ways,
+    /// as `e + m ≤ 0` and as `−e − m ≤ 0`.
+    bounds: BTreeMap<VarPart, Rat>,
+    /// Variables the pipeline may treat as arrays: the bases of selects and
+    /// stores anywhere in the premises, and the variables an equation
+    /// defines by a store or aliases to one of them.  Atoms over them are
+    /// neither indexed nor entailed.
+    arrays: BTreeSet<VarRef>,
+}
+
+impl Premises {
+    /// Indexes the conjunction of `premises`.
+    pub fn new(premises: &[&Formula]) -> Premises {
+        let mut arrays = BTreeSet::new();
+        let mut aliases: Vec<(VarRef, VarRef)> = Vec::new();
+        for p in premises {
+            p.for_each_atom(&mut |a| {
+                for t in [&a.lhs, &a.rhs] {
+                    t.for_each(&mut |sub| {
+                        if let Term::Select(base, _) | Term::Store(base, _, _) = sub {
+                            if let Term::Var(v) = **base {
+                                arrays.insert(v);
+                            }
+                        }
+                    });
+                }
+                if a.op == RelOp::Eq {
+                    match (&a.lhs, &a.rhs) {
+                        (Term::Var(v), Term::Store(..)) | (Term::Store(..), Term::Var(v)) => {
+                            arrays.insert(*v);
+                        }
+                        (Term::Var(v), Term::Var(w)) => aliases.push((*v, *w)),
+                        _ => {}
+                    }
+                }
+            });
+        }
+        // Aliases `v = w` of array variables, to a fixpoint.
+        let mut grown = true;
+        while grown {
+            grown = false;
+            for (v, w) in &aliases {
+                if arrays.contains(v) != arrays.contains(w) {
+                    arrays.extend([*v, *w]);
+                    grown = true;
+                }
+            }
+        }
+
+        let mut premises_index = Premises { bounds: BTreeMap::new(), arrays };
+        for p in premises {
+            for conjunct in p.conjuncts() {
+                let Formula::Atom(a) = conjunct else { continue };
+                let Some((key, m, op)) = premises_index.row(&a) else { continue };
+                if op == ConstrOp::Eq {
+                    if let Some((neg_key, neg_m)) = negated(&key, m) {
+                        premises_index.tighten(neg_key, neg_m);
+                    }
+                }
+                premises_index.tighten(key, m);
+            }
+        }
+        premises_index
+    }
+
+    /// Whether one premise entails `c`, so that `P ∧ ¬c` is refuted.
+    pub fn entails(&self, c: &Formula) -> bool {
+        let Formula::Atom(a) = c else { return false };
+        let Some((key, k, op)) = self.row(a) else { return false };
+        let implied = |key: &VarPart, k: Rat| self.bounds.get(key).is_some_and(|m| *m >= k);
+        match op {
+            ConstrOp::Le => implied(&key, k),
+            ConstrOp::Eq => {
+                implied(&key, k) && negated(&key, k).is_some_and(|(key, k)| implied(&key, k))
+            }
+            ConstrOp::Lt => false,
+        }
+    }
+
+    /// The atom as an integer-normalized row `e + k ⋈ 0`, split into its
+    /// variable part and constant, when it is a linear `≤`/`=` row with
+    /// integer coefficients over variables that are not arrays.
+    fn row(&self, a: &Atom) -> Option<(VarPart, Rat, ConstrOp)> {
+        if a.op == RelOp::Ne {
+            return None;
+        }
+        let c = LinConstraint::from_atom(a).ok()?;
+        if c.expr.terms().any(|(v, _)| self.arrays.contains(v)) {
+            return None;
+        }
+        let Normalized::Constraint(n) = normalize_integer(&c).ok()? else { return None };
+        let integral =
+            n.expr.terms().all(|(_, r)| r.is_integer()) && n.expr.constant_part().is_integer();
+        if n.expr.is_constant() || n.op == ConstrOp::Lt || !integral {
+            return None;
+        }
+        Some((n.expr.terms().map(|(v, r)| (*v, r)).collect(), n.expr.constant_part(), n.op))
+    }
+
+    /// Records the premise row `key + m ≤ 0`, keeping the tightest constant.
+    fn tighten(&mut self, key: VarPart, m: Rat) {
+        let best = self.bounds.entry(key).or_insert(m);
+        if m > *best {
+            *best = m;
+        }
+    }
+}
+
+/// The row `−e − k`, split the same way; `None` on overflow.
+fn negated(key: &[(VarRef, Rat)], k: Rat) -> Option<(VarPart, Rat)> {
+    let key = key.iter().map(|(v, r)| Some((*v, r.neg().ok()?))).collect::<Option<Vec<_>>>()?;
+    Some((key, k.neg().ok()?))
+}
+
 /// Negation normal form with skolemization: negation is pushed to the atoms
 /// and a negated `∀` becomes constants new to the query (drawn from
 /// `skolem`) for its bound variables.  This is the checker's replacement for
@@ -728,17 +867,17 @@ fn abstract_nonarith(t: &Term, map: &mut BTreeMap<Term, VarRef>, names: &mut Res
     }
 }
 
-enum Normalized {
+enum Normalized<K: Ord + Clone> {
     /// The constraint has no integer solution (gcd test).
     Unsat,
-    Constraint(LinConstraint<FmVar>),
+    Constraint(LinConstraint<K>),
 }
 
 /// Scales a constraint to integer coefficients, tightens strict
 /// inequalities, divides by the coefficient gcd with a floored constant, and
 /// applies the gcd test to equations.  Preserves exactly the integer
 /// solutions.
-fn normalize_integer(c: &LinConstraint<FmVar>) -> SmtResult<Normalized> {
+fn normalize_integer<K: Ord + Clone>(c: &LinConstraint<K>) -> SmtResult<Normalized<K>> {
     // Scale to integer coefficients.
     let mut scale: i128 = 1;
     let mut denoms: Vec<i128> = c.expr.terms().map(|(_, r)| r.denom()).collect();
@@ -780,7 +919,7 @@ fn normalize_integer(c: &LinConstraint<FmVar>) -> SmtResult<Normalized> {
             // Σaᵢxᵢ + c ≤ 0  ⇔  Σ(aᵢ/g)xᵢ ≤ ⌊-c/g⌋  over the integers.
             let mut e = LinExpr::zero();
             for (v, r) in tightened.expr.terms() {
-                e.add_term(*v, Rat::int(r.numer() / g))?;
+                e.add_term(v.clone(), Rat::int(r.numer() / g))?;
             }
             e.add_constant(Rat::int(-((-konst).div_euclid(g))))?;
             Ok(Normalized::Constraint(LinConstraint::new(e, ConstrOp::Le)))

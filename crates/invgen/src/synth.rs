@@ -20,10 +20,10 @@
 //!
 //! * every candidate row batch is [presolved](mod@crate::presolve) before it
 //!   touches a tableau — concrete-row multipliers are Gaussian-eliminated
-//!   out of the per-implication encodings once, parameter equalities are
-//!   eliminated out of the accumulated system per branch, duplicate and
-//!   dominated rows are dropped, and contradictions detected by constant
-//!   folding never reach the simplex at all;
+//!   out of each implication's compiled encoding once, parameter
+//!   equalities are eliminated out of the accumulated system per branch,
+//!   duplicate and dominated rows are dropped, and contradictions detected
+//!   by constant folding never reach the simplex at all;
 //! * infeasible extensions yield a *minimal Farkas conflict* (an IIS from
 //!   [`IncrementalSimplex::minimal_infeasible_subsystem`]) which is mapped
 //!   back to the multiplier decisions that produced its rows; every future
@@ -186,13 +186,15 @@ pub struct SynthStats {
 /// mapping, and the row/variable sets already in the tableau for cross-batch
 /// dedup and elimination safety.
 ///
-/// Every candidate extension clones its parent entry, so pushed rows are
-/// shared, not copied: the tableau's constraint expressions and `seen_rows`
-/// hold `Arc`s (not `Rc`: the parallel beam hands entries to worker
-/// threads), and the tableau's rows are sparse.  A clone copies the non-zero
-/// tableau coefficients, the per-column vectors and the other bookkeeping,
-/// and bumps two reference counts per pushed row.
-#[derive(Clone, Debug, Default)]
+/// Every candidate that reaches the tableau checks on a clone of its
+/// parent's tableau, and only a kept child copies the rest of the entry.
+/// Pushed rows are shared, not copied: the tableau's constraint
+/// expressions, `row_deps` and `seen_rows` hold `Arc`s (not `Rc`: the
+/// parallel beam hands entries to worker threads), and the tableau's rows
+/// are sparse.  The tableau clone copies the non-zero coefficients and the
+/// per-column vectors and bumps one reference count per pushed row; a kept
+/// child's copy bumps two more and copies the other bookkeeping.
+#[derive(Debug, Default)]
 struct FrontierEntry {
     /// Option index chosen per implication, in implication order.
     decisions: Vec<u32>,
@@ -203,7 +205,7 @@ struct FrontierEntry {
     /// resurface and are not recorded).
     subst: Vec<(Unknown, LinExpr<Unknown>, Deps)>,
     /// Decision dependencies of each pushed tableau row, in push order.
-    row_deps: Vec<Deps>,
+    row_deps: Vec<Arc<Deps>>,
     /// Rows already pushed (cross-batch duplicates are skipped).
     seen_rows: HashSet<Arc<LinConstraint<Unknown>>>,
     /// Unknowns already appearing in pushed rows (they must never be
@@ -268,7 +270,7 @@ pub fn synthesize(
     let mut learned: Vec<ConflictCore> = Vec::new();
     for (idx, imp) in implications.iter().enumerate() {
         let pos = idx as u32;
-        let mut tiers = OptionTiers::new(imp, pos, config);
+        let mut tiers = OptionTiers::new(imp, pos, config)?;
         let next = advance_frontier(&frontier, &mut tiers, pos, &mut learned, config, &mut stats)?;
         if next.is_empty() {
             return Err(InvgenError::no_invariant(format!(
@@ -450,37 +452,53 @@ fn evaluate_candidate(
         all
     };
 
-    let mut child = acc.clone();
+    // Only the tableau is cloned before the check; the rest of the entry is
+    // copied for a kept child alone.
+    let mut tableau = acc.tableau.clone();
+    for (c, _) in &rows {
+        tableau.push_constraint(c)?;
+    }
+    let witness = if witness_holds {
+        acc.witness.clone()
+    } else {
+        // Recorded before the check, exactly as the pre-parallel loop did,
+        // so an aborted run's thread-local counters still include the
+        // attempt.
+        stats::record_system_solved();
+        if !tableau.check()? {
+            if !config.conflict_driven {
+                return Ok(CandidateOutcome::Infeasible(None));
+            }
+            // Shrink the conflict to an irreducible infeasible subsystem
+            // and map its rows (in push order: the parent's, then this
+            // option's) back to the decisions that produced them.
+            let pushed = acc.row_deps.len();
+            let mut core_deps: Deps = Vec::new();
+            for i in tableau.minimal_infeasible_subsystem()? {
+                let deps = if i < pushed { &acc.row_deps[i] } else { &rows[i - pushed].1 };
+                core_deps = union_deps(&core_deps, deps);
+            }
+            return Ok(CandidateOutcome::Infeasible(Some(core_deps)));
+        }
+        tableau.model()?
+    };
+    let mut child = FrontierEntry {
+        decisions: acc.decisions.clone(),
+        tableau,
+        witness,
+        subst: acc.subst.clone(),
+        row_deps: acc.row_deps.clone(),
+        seen_rows: acc.seen_rows.clone(),
+        seen_vars: acc.seen_vars.clone(),
+    };
     child.decisions.push(opt_idx);
     child.subst.extend(new_elims);
     for (c, deps) in rows {
-        child.tableau.push_constraint(&c)?;
-        child.row_deps.push(deps);
+        child.row_deps.push(Arc::new(deps));
         child.seen_vars.extend(c.expr.vars());
         child.seen_rows.insert(Arc::new(c));
     }
-    if witness_holds {
-        return Ok(CandidateOutcome::Feasible(Box::new(child), false));
-    }
-    // Recorded before the check, exactly as the pre-parallel loop did, so
-    // an aborted run's thread-local counters still include the attempt.
-    stats::record_system_solved();
-    if child.tableau.check()? {
-        child.witness = child.tableau.model()?;
-        Ok(CandidateOutcome::Feasible(Box::new(child), true))
-    } else if config.conflict_driven {
-        // Shrink the conflict to an irreducible infeasible
-        // subsystem and map its rows back to the decisions that
-        // produced them.
-        let core_rows = child.tableau.minimal_infeasible_subsystem()?;
-        let mut core_deps: Deps = Vec::new();
-        for i in core_rows {
-            core_deps = union_deps(&core_deps, &child.row_deps[i]);
-        }
-        Ok(CandidateOutcome::Infeasible(Some(core_deps)))
-    } else {
-        Ok(CandidateOutcome::Infeasible(None))
-    }
+    Ok(CandidateOutcome::Feasible(Box::new(child), !witness_holds))
 }
 
 /// The frontier under construction for one implication, carried across its
@@ -545,7 +563,7 @@ fn merge_outcome(
 /// stopping point are exactly those of encoding every tier up front.
 fn advance_frontier(
     frontier: &[FrontierEntry],
-    tiers: &mut OptionTiers<'_>,
+    tiers: &mut OptionTiers,
     pos: u32,
     learned: &mut Vec<ConflictCore>,
     config: &SynthConfig,
@@ -838,16 +856,21 @@ fn learn_core(
 /// in turn with one `seen` set appends exactly the options, at exactly the
 /// indices, that encoding every choice at once would.
 ///
-/// With presolve enabled, each option's rows are reduced once here, shared
-/// by every branch that considers the option: the implication's concrete-row
-/// multipliers occur nowhere else in the accumulated system, so their
-/// defining equalities are Gaussian-eliminated context-free.  Options whose
-/// reduced system is already contradictory, and options whose reduced rows
-/// duplicate an earlier option's, are dropped outright.
-struct OptionTiers<'a> {
-    imp: &'a Implication,
+/// Each variant is [compiled](compile_variant) once, and with presolve
+/// enabled its concrete-row multipliers are Gaussian-eliminated once, on
+/// the compiled rows ([`eliminate_multipliers`]): those multipliers occur
+/// nowhere else in the accumulated system, so the elimination is
+/// context-free and shared by every branch that considers the option.  A
+/// multiplier choice then costs one sparse combination per row plus
+/// presolve's fold.  Options whose reduced system is already
+/// contradictory, and options whose reduced rows duplicate an earlier
+/// option's, are dropped outright.
+struct OptionTiers {
     index: u32,
     presolve: bool,
+    /// The implication's variants (prove the consequent, prove the
+    /// antecedent contradictory), compiled.
+    variants: Vec<Vec<CompiledRow>>,
     /// The choices not yet encoded, in [`multiplier_choices`] order.
     choices: std::iter::Peekable<std::vec::IntoIter<Vec<Rat>>>,
     /// Reduced row sets encoded so far (later duplicates are dropped).
@@ -856,16 +879,28 @@ struct OptionTiers<'a> {
     options: Vec<Vec<LinConstraint<Unknown>>>,
 }
 
-impl<'a> OptionTiers<'a> {
-    fn new(imp: &'a Implication, index: u32, config: &SynthConfig) -> OptionTiers<'a> {
-        OptionTiers {
-            imp,
+impl OptionTiers {
+    fn new(imp: &Implication, index: u32, config: &SynthConfig) -> InvgenResult<OptionTiers> {
+        let goals = match &imp.consequent {
+            Consequent::Row(expr) => vec![Some(expr), None],
+            Consequent::False => vec![None],
+        };
+        let mut variants = Vec::with_capacity(goals.len());
+        for goal in goals {
+            let mut rows = compile_variant(imp, index, goal)?;
+            if config.presolve {
+                eliminate_multipliers(&mut rows)?;
+            }
+            variants.push(rows);
+        }
+        Ok(OptionTiers {
             index,
             presolve: config.presolve,
+            variants,
             choices: multiplier_choices(&imp.parametric, config).into_iter().peekable(),
             seen: HashSet::new(),
             options: Vec::new(),
-        }
+        })
     }
 
     /// Encodes the next score tier; returns the indices of the options it
@@ -884,24 +919,18 @@ impl<'a> OptionTiers<'a> {
 
     /// Encodes the variants of one multiplier choice.
     fn encode(&mut self, lambda: &[Rat]) -> InvgenResult<()> {
-        let (imp, index) = (self.imp, self.index);
-        let mut variants = Vec::new();
-        match &imp.consequent {
-            Consequent::Row(expr) => {
-                variants.push(encode_implication(imp, index, lambda, Some(expr))?);
-                variants.push(encode_implication(imp, index, lambda, None)?);
-            }
-            Consequent::False => {
-                variants.push(encode_implication(imp, index, lambda, None)?);
-            }
-        }
-        for rows in variants {
+        for variant in &self.variants {
+            let rows = variant
+                .iter()
+                .map(|row| row.instantiate(lambda))
+                .collect::<InvgenResult<Vec<_>>>()?;
             if !self.presolve {
                 self.options.push(rows);
                 continue;
             }
-            let tagged = rows.into_iter().map(|c| (c, vec![index])).collect();
-            let presolved = presolve_tagged(tagged, &|u| matches!(u, Unknown::Mu { .. }))?;
+            let tagged = rows.into_iter().map(|c| (c, vec![self.index])).collect();
+            // The multipliers are already eliminated: only the fold is left.
+            let presolved = presolve_tagged(tagged, &|_| false)?;
             if presolved.conflict.is_some() {
                 // Self-contradictory under this multiplier choice: the
                 // option can never extend any branch.
@@ -985,103 +1014,168 @@ fn multiplier_choices(rows: &[ParamRow], config: &SynthConfig) -> Vec<Vec<Rat>> 
     choices.into_iter().map(|v| v.iter().enumerate().map(|(j, &c)| value(j, c)).collect()).collect()
 }
 
-/// Encodes one implication under a fixed multiplier choice.
+/// One row of a compiled implication variant, `base + Σᵢ λᵢ·terms[i] ⋈ 0`
+/// for the multipliers `λ` of the parametric rows.  `terms` lists the
+/// parametric rows that contribute here, in ascending row order; they
+/// mention template parameters and constants only, never a `Mu`.
+#[derive(Clone, Debug)]
+struct CompiledRow {
+    base: LinExpr<Unknown>,
+    terms: Vec<(usize, LinExpr<Unknown>)>,
+    op: ConstrOp,
+}
+
+impl CompiledRow {
+    /// The row under the multiplier choice `lambda`.
+    fn instantiate(&self, lambda: &[Rat]) -> InvgenResult<LinConstraint<Unknown>> {
+        let mut expr = self.base.clone();
+        for (i, term) in &self.terms {
+            let l = lambda[*i];
+            if l.is_zero() {
+                continue;
+            }
+            for (u, c) in term.terms() {
+                expr.add_term(*u, c.mul(l)?)?;
+            }
+            expr.add_constant(term.constant_part().mul(l)?)?;
+        }
+        Ok(LinConstraint::new(expr, self.op))
+    }
+}
+
+/// Compiles one implication variant for every multiplier choice at once.
 ///
 /// `goal = Some(e)` proves `e ≤ 0`; `goal = None` proves the antecedent
-/// contradictory.
-fn encode_implication(
+/// contradictory.  Instantiated under a choice `λ`, the rows are the Farkas
+/// system of that choice: per program variable, the coefficient-matching
+/// equation; then the constant-part inequality; then the sign rows of the
+/// concrete inequality multipliers.
+fn compile_variant(
     imp: &Implication,
     index: u32,
-    lambda: &[Rat],
     goal: Option<&ParamLin>,
-) -> InvgenResult<Vec<LinConstraint<Unknown>>> {
-    // Collect every program variable that occurs anywhere.
+) -> InvgenResult<Vec<CompiledRow>> {
+    // Every program variable that occurs anywhere, in first-occurrence order.
     let mut vars: Vec<VarRef> = Vec::new();
-    let mut add_vars = |vs: Vec<VarRef>| {
-        for v in vs {
-            if !vars.contains(&v) {
-                vars.push(v);
-            }
+    let occurring = imp
+        .concrete
+        .iter()
+        .flat_map(|c| c.expr.vars())
+        .chain(imp.parametric.iter().flat_map(|r| r.expr.vars()))
+        .chain(goal.map(ParamLin::vars).unwrap_or_default());
+    for v in occurring {
+        if !vars.contains(&v) {
+            vars.push(v);
         }
-    };
-    for c in &imp.concrete {
-        add_vars(c.expr.vars());
-    }
-    for r in &imp.parametric {
-        add_vars(r.expr.vars());
-    }
-    if let Some(g) = goal {
-        add_vars(g.vars());
     }
 
-    let param_to_unknown = |e: &LinExpr<ParamId>| -> InvgenResult<LinExpr<Unknown>> {
+    let params = |e: &LinExpr<ParamId>| -> InvgenResult<LinExpr<Unknown>> {
         Ok(e.substitute(&|p: &ParamId| LinExpr::var(Unknown::Param(*p)))?)
     };
+    let mu = |j: usize| Unknown::Mu { implication: index, row: j as u32 };
 
-    let mut constraints: Vec<LinConstraint<Unknown>> = Vec::new();
-
-    // Per-variable coefficient equations and the constant-part inequality.
-    // goal_expr - Σ λ_i·param_i - Σ μ_j·concrete_j  must be a non-positive
-    // constant (matching) — or, for the contradiction variant,
-    // Σ λ_i·param_i + Σ μ_j·concrete_j must be a constant ≥ 1.
+    // goal - Σ λᵢ·paramᵢ - Σ μⱼ·concreteⱼ must be a non-positive constant
+    // (matching), or, for the contradiction variant, Σ λᵢ·paramᵢ +
+    // Σ μⱼ·concreteⱼ must be a constant ≥ 1.
     let sign = if goal.is_some() { Rat::MINUS_ONE } else { Rat::ONE };
-
-    let coeff_of = |v: Option<VarRef>| -> InvgenResult<LinExpr<Unknown>> {
-        let mut acc: LinExpr<Unknown> = LinExpr::zero();
-        if let Some(g) = goal {
-            let contribution = match v {
-                Some(var) => g.coeffs.get(&var).cloned().unwrap_or_else(LinExpr::zero),
-                None => g.constant.clone(),
-            };
-            acc = acc.add(&param_to_unknown(&contribution)?)?;
-        }
-        for (i, row) in imp.parametric.iter().enumerate() {
-            let contribution = match v {
-                Some(var) => row.expr.coeffs.get(&var).cloned().unwrap_or_else(LinExpr::zero),
-                None => row.expr.constant.clone(),
-            };
-            let scaled = param_to_unknown(&contribution)?.scale(lambda[i].mul(sign)?)?;
-            acc = acc.add(&scaled)?;
-        }
+    let row_at = |v: Option<VarRef>, op: ConstrOp| -> InvgenResult<CompiledRow> {
+        let part = |e: &ParamLin| match v {
+            Some(var) => e.coeffs.get(&var).cloned().unwrap_or_else(LinExpr::zero),
+            None => e.constant.clone(),
+        };
+        let mut base = match goal {
+            Some(g) => params(&part(g))?,
+            None => LinExpr::zero(),
+        };
         for (j, row) in imp.concrete.iter().enumerate() {
             let coeff = match v {
                 Some(var) => row.expr.coeff(&var),
                 None => row.expr.constant_part(),
             };
-            if coeff.is_zero() {
-                continue;
-            }
-            let mu = Unknown::Mu { implication: index, row: j as u32 };
-            acc = acc.add(&LinExpr::scaled_var(mu, coeff.mul(sign)?))?;
+            base.add_term(mu(j), coeff.mul(sign)?)?;
         }
-        Ok(acc)
+        let mut terms = Vec::new();
+        for (i, row) in imp.parametric.iter().enumerate() {
+            let term = params(&part(&row.expr))?.scale(sign)?;
+            if !term.is_constant() || !term.constant_part().is_zero() {
+                terms.push((i, term));
+            }
+        }
+        Ok(CompiledRow { base, terms, op })
     };
 
+    let mut rows = Vec::with_capacity(vars.len() + 1 + imp.concrete.len());
     for v in &vars {
-        let e = coeff_of(Some(*v))?;
-        constraints.push(LinConstraint::new(e, ConstrOp::Eq));
+        rows.push(row_at(Some(*v), ConstrOp::Eq)?);
     }
-    let constant = coeff_of(None)?;
-    if goal.is_some() {
-        // constant ≤ 0.
-        constraints.push(LinConstraint::new(constant, ConstrOp::Le));
-    } else {
+    let mut constant = row_at(None, ConstrOp::Le)?;
+    if goal.is_none() {
         // constant ≥ 1, i.e. 1 - constant ≤ 0.
-        let one_minus = LinExpr::constant(Rat::ONE).sub(&constant)?;
-        constraints.push(LinConstraint::new(one_minus, ConstrOp::Le));
+        constant.base = LinExpr::constant(Rat::ONE).sub(&constant.base)?;
+        for (_, term) in &mut constant.terms {
+            *term = term.scale(Rat::MINUS_ONE)?;
+        }
     }
+    rows.push(constant);
 
     // Sign constraints: multipliers of concrete inequality rows are
     // non-negative (equality rows are unrestricted).  Multipliers of
-    // parametric rows were chosen from sign-respecting candidate sets.
+    // parametric rows are chosen from sign-respecting candidate sets.
     for (j, row) in imp.concrete.iter().enumerate() {
         if row.op != ConstrOp::Eq {
-            let mu = Unknown::Mu { implication: index, row: j as u32 };
-            constraints
-                .push(LinConstraint::new(LinExpr::scaled_var(mu, Rat::MINUS_ONE), ConstrOp::Le));
+            let base = LinExpr::scaled_var(mu(j), Rat::MINUS_ONE);
+            rows.push(CompiledRow { base, terms: Vec::new(), op: ConstrOp::Le });
         }
     }
-    Ok(constraints)
+    Ok(rows)
+}
+
+/// Runs presolve's phase 1 — Gaussian elimination of the `Mu` multipliers —
+/// on compiled rows, taking exactly the pivots [`presolve_tagged`] takes on
+/// every instantiation of them (the first equality that mentions a `Mu`,
+/// and its least `Mu`).
+///
+/// The pivots depend only on the rows' `Mu` coefficients, which sit in
+/// `base` alone and which no multiplier choice touches, so one elimination
+/// serves every choice: the pivot row's definition splits into a base part
+/// and one part per parametric row, and each substitution scales them by
+/// the same `Mu` coefficient of the `base` it rewrites.
+fn eliminate_multipliers(rows: &mut Vec<CompiledRow>) -> InvgenResult<()> {
+    loop {
+        let pivot = rows.iter().enumerate().filter(|(_, row)| row.op == ConstrOp::Eq).find_map(
+            |(i, row)| {
+                let mut mus = row.base.terms().map(|(u, _)| *u);
+                mus.find(|u| matches!(u, Unknown::Mu { .. })).map(|x| (i, x))
+            },
+        );
+        let Some((i, x)) = pivot else {
+            return Ok(());
+        };
+        let row = rows.remove(i);
+        let a = row.base.coeff(&x);
+        // x := -(row - a·x) / a
+        let inv = a.recip()?.neg()?;
+        let def = row.base.add(&LinExpr::scaled_var(x, a.neg()?))?.scale(inv)?;
+        let def_terms = row
+            .terms
+            .iter()
+            .map(|(j, term)| Ok((*j, term.scale(inv)?)))
+            .collect::<InvgenResult<Vec<_>>>()?;
+        for other in rows.iter_mut() {
+            let b = other.base.coeff(&x);
+            if b.is_zero() {
+                continue;
+            }
+            other.base = other.base.add(&LinExpr::scaled_var(x, b.neg()?))?.add(&def.scale(b)?)?;
+            for (j, term) in &def_terms {
+                let term = term.scale(b)?;
+                match other.terms.binary_search_by_key(j, |(k, _)| *k) {
+                    Ok(at) => other.terms[at].1 = other.terms[at].1.add(&term)?,
+                    Err(at) => other.terms.insert(at, (*j, term)),
+                }
+            }
+        }
+    }
 }
 
 /// Generates the verification conditions contributed by one basic path.
@@ -1758,6 +1852,242 @@ mod tests {
         ]
     }
 
+    /// The encoder the compiled one replaced, kept as the reference it must
+    /// reproduce: one implication under one fixed multiplier choice, encoded
+    /// from scratch.
+    ///
+    /// `goal = Some(e)` proves `e ≤ 0`; `goal = None` proves the antecedent
+    /// contradictory.
+    fn encode_implication(
+        imp: &Implication,
+        index: u32,
+        lambda: &[Rat],
+        goal: Option<&ParamLin>,
+    ) -> InvgenResult<Vec<LinConstraint<Unknown>>> {
+        // Collect every program variable that occurs anywhere.
+        let mut vars: Vec<VarRef> = Vec::new();
+        let mut add_vars = |vs: Vec<VarRef>| {
+            for v in vs {
+                if !vars.contains(&v) {
+                    vars.push(v);
+                }
+            }
+        };
+        for c in &imp.concrete {
+            add_vars(c.expr.vars());
+        }
+        for r in &imp.parametric {
+            add_vars(r.expr.vars());
+        }
+        if let Some(g) = goal {
+            add_vars(g.vars());
+        }
+
+        let param_to_unknown = |e: &LinExpr<ParamId>| -> InvgenResult<LinExpr<Unknown>> {
+            Ok(e.substitute(&|p: &ParamId| LinExpr::var(Unknown::Param(*p)))?)
+        };
+
+        let mut constraints: Vec<LinConstraint<Unknown>> = Vec::new();
+
+        // Per-variable coefficient equations and the constant-part inequality.
+        // goal_expr - Σ λ_i·param_i - Σ μ_j·concrete_j  must be a non-positive
+        // constant (matching) — or, for the contradiction variant,
+        // Σ λ_i·param_i + Σ μ_j·concrete_j must be a constant ≥ 1.
+        let sign = if goal.is_some() { Rat::MINUS_ONE } else { Rat::ONE };
+
+        let coeff_of = |v: Option<VarRef>| -> InvgenResult<LinExpr<Unknown>> {
+            let mut acc: LinExpr<Unknown> = LinExpr::zero();
+            if let Some(g) = goal {
+                let contribution = match v {
+                    Some(var) => g.coeffs.get(&var).cloned().unwrap_or_else(LinExpr::zero),
+                    None => g.constant.clone(),
+                };
+                acc = acc.add(&param_to_unknown(&contribution)?)?;
+            }
+            for (i, row) in imp.parametric.iter().enumerate() {
+                let contribution = match v {
+                    Some(var) => row.expr.coeffs.get(&var).cloned().unwrap_or_else(LinExpr::zero),
+                    None => row.expr.constant.clone(),
+                };
+                let scaled = param_to_unknown(&contribution)?.scale(lambda[i].mul(sign)?)?;
+                acc = acc.add(&scaled)?;
+            }
+            for (j, row) in imp.concrete.iter().enumerate() {
+                let coeff = match v {
+                    Some(var) => row.expr.coeff(&var),
+                    None => row.expr.constant_part(),
+                };
+                if coeff.is_zero() {
+                    continue;
+                }
+                let mu = Unknown::Mu { implication: index, row: j as u32 };
+                acc = acc.add(&LinExpr::scaled_var(mu, coeff.mul(sign)?))?;
+            }
+            Ok(acc)
+        };
+
+        for v in &vars {
+            let e = coeff_of(Some(*v))?;
+            constraints.push(LinConstraint::new(e, ConstrOp::Eq));
+        }
+        let constant = coeff_of(None)?;
+        if goal.is_some() {
+            // constant ≤ 0.
+            constraints.push(LinConstraint::new(constant, ConstrOp::Le));
+        } else {
+            // constant ≥ 1, i.e. 1 - constant ≤ 0.
+            let one_minus = LinExpr::constant(Rat::ONE).sub(&constant)?;
+            constraints.push(LinConstraint::new(one_minus, ConstrOp::Le));
+        }
+
+        // Sign constraints: multipliers of concrete inequality rows are
+        // non-negative (equality rows are unrestricted).  Multipliers of
+        // parametric rows were chosen from sign-respecting candidate sets.
+        for (j, row) in imp.concrete.iter().enumerate() {
+            if row.op != ConstrOp::Eq {
+                let mu = Unknown::Mu { implication: index, row: j as u32 };
+                constraints.push(LinConstraint::new(
+                    LinExpr::scaled_var(mu, Rat::MINUS_ONE),
+                    ConstrOp::Le,
+                ));
+            }
+        }
+        Ok(constraints)
+    }
+
+    /// Every option the reference encoder yields for `imp`: each multiplier
+    /// choice's variants, presolved from scratch (multiplier elimination
+    /// included) and deduplicated in choice order.
+    fn reference_options(
+        imp: &Implication,
+        index: u32,
+        config: &SynthConfig,
+    ) -> Vec<Vec<LinConstraint<Unknown>>> {
+        let mut seen = HashSet::new();
+        let mut options = Vec::new();
+        for lambda in multiplier_choices(&imp.parametric, config) {
+            let goals = match &imp.consequent {
+                Consequent::Row(expr) => vec![Some(expr), None],
+                Consequent::False => vec![None],
+            };
+            for goal in goals {
+                let rows = encode_implication(imp, index, &lambda, goal).unwrap();
+                if !config.presolve {
+                    options.push(rows);
+                    continue;
+                }
+                let tagged = rows.into_iter().map(|c| (c, vec![index])).collect();
+                let presolved =
+                    presolve_tagged(tagged, &|u| matches!(u, Unknown::Mu { .. })).unwrap();
+                if presolved.conflict.is_some() {
+                    continue;
+                }
+                let rows: Vec<_> = presolved.rows.into_iter().map(|(c, _)| c).collect();
+                if seen.insert(rows.clone()) {
+                    options.push(rows);
+                }
+            }
+        }
+        options
+    }
+
+    /// Asserts that `OptionTiers`, run through every tier, yields exactly the
+    /// reference options (same rows, same row order, same option indices),
+    /// with presolve on and off.
+    fn assert_encoders_agree(imp: &Implication, index: u32) {
+        for presolve in [true, false] {
+            let config = SynthConfig { presolve, ..SynthConfig::default() };
+            let mut tiers = OptionTiers::new(imp, index, &config).unwrap();
+            while tiers.encode_next().unwrap().is_some() {}
+            assert_eq!(
+                tiers.options,
+                reference_options(imp, index, &config),
+                "{} (presolve {presolve})",
+                imp.label
+            );
+        }
+    }
+
+    #[test]
+    fn compiled_encodings_equal_the_reference_encoder() {
+        for (name, program, templates) in pinned_cases() {
+            let implications = verification_conditions(&program, &templates).unwrap();
+            assert!(!implications.is_empty(), "{name}");
+            for (idx, imp) in implications.iter().enumerate() {
+                assert_encoders_agree(imp, idx as u32);
+            }
+        }
+    }
+
+    /// `c₀·x + c₁·y + c₂·z + k`, each coefficient and `k` an integer plus,
+    /// when its parameter index is not negative, one of three template
+    /// parameters.
+    fn random_param_lin(parts: [(i32, i128); 4]) -> ParamLin {
+        let affine = |(param, k): (i32, i128)| {
+            let mut e = LinExpr::constant(Rat::int(k));
+            if param >= 0 {
+                e.add_term(crate::template::ParamId(param as u32), Rat::ONE).unwrap();
+            }
+            e
+        };
+        let mut lin = ParamLin { coeffs: BTreeMap::new(), constant: affine(parts[3]) };
+        for (v, part) in ["x", "y", "z"].iter().zip(parts) {
+            let e = affine(part);
+            if !e.is_constant() || !e.constant_part().is_zero() {
+                lin.coeffs.insert(VarRef::cur(Symbol::intern(v)), e);
+            }
+        }
+        lin
+    }
+
+    fn param_lin_strategy() -> impl proptest::strategy::Strategy<Value = ParamLin> {
+        use proptest::strategy::Strategy;
+        let part = || (-2i32..3, -2i128..=2);
+        (part(), part(), part(), part()).prop_map(|(a, b, c, k)| random_param_lin([a, b, c, k]))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Random implications over three variables and three parameters —
+        /// concrete `≤`/`=` rows, parametric `≤`/`=` rows, a row or `false`
+        /// consequent — encode identically both ways.
+        #[test]
+        fn compiled_encodings_equal_the_reference_on_random_implications(
+            concrete in proptest::collection::vec(
+                ((-2i128..=2, -2i128..=2, -2i128..=2), -3i128..=3, 0u8..2),
+                0..4,
+            ),
+            parametric in proptest::collection::vec((param_lin_strategy(), 0u8..2), 0..4),
+            goal in proptest::collection::vec(param_lin_strategy(), 0..2),
+        ) {
+            let var = |v: &str| VarRef::cur(Symbol::intern(v));
+            let concrete = concrete
+                .iter()
+                .map(|&((a, b, c), k, eq)| {
+                    let mut e = LinExpr::constant(Rat::int(k));
+                    for (v, coeff) in [("x", a), ("y", b), ("z", c)] {
+                        e.add_term(var(v), Rat::int(coeff)).unwrap();
+                    }
+                    LinConstraint::new(e, if eq == 1 { ConstrOp::Eq } else { ConstrOp::Le })
+                })
+                .collect();
+            let parametric = parametric
+                .iter()
+                .map(|(expr, eq)| ParamRow {
+                    expr: expr.clone(),
+                    op: if *eq == 1 { RowOp::Eq } else { RowOp::Le },
+                })
+                .collect();
+            let consequent = match goal.first() {
+                Some(expr) => Consequent::Row(expr.clone()),
+                None => Consequent::False,
+            };
+            let imp = Implication { concrete, parametric, consequent, label: "random".into() };
+            assert_encoders_agree(&imp, 3);
+        }
+    }
+
     #[test]
     fn synthesis_results_and_work_are_pinned() {
         // Encoding options one score tier at a time and shrinking cores by
@@ -1837,7 +2167,7 @@ mod tests {
         for (idx, imp) in verification_conditions(&program, &templates).unwrap().iter().enumerate()
         {
             let pos = idx as u32;
-            let mut tiers = OptionTiers::new(imp, pos, &config);
+            let mut tiers = OptionTiers::new(imp, pos, &config).unwrap();
             frontier =
                 advance_frontier(&frontier, &mut tiers, pos, &mut learned, &config, &mut stats)
                     .unwrap();
