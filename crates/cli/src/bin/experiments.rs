@@ -4,105 +4,42 @@
 //! ```text
 //! cargo run --release -p pathinv-cli --bin experiments            # everything
 //! cargo run --release -p pathinv-cli --bin experiments -- f1 t5   # a subset
-//!
-//! # The deterministic benchmark trajectory (CI's bench-smoke job):
-//! cargo run --release -p pathinv-cli --bin experiments -- bench \
-//!     --bench-json BENCH_pr7.json --check tests/golden/bench.json \
-//!     --compare-previous BENCH_pr6.json
 //! ```
-//!
-//! The `bench` experiment exits nonzero when a task errors, when the
-//! emitted report drifts from the golden passed to `--check`, or when any
-//! per-task `solver_calls`/`simplex_calls` counter regresses against the
-//! previous trajectory point passed to `--compare-previous`.
 
 use pathinv_bench::{
     forward_with_cex, initcheck_with_cex, partition_with_ge_cex, partition_with_lt_cex,
 };
-use pathinv_cli::experiments::{run_bench, BenchConfig};
 use pathinv_core::{path_program, PathInvariantRefiner, Verdict, Verifier};
 use pathinv_invgen::PathInvariantGenerator;
 use pathinv_ir::{corpus, parse_program, Path, Program};
 use std::process::ExitCode;
 use std::time::Instant;
 
+const EXPERIMENTS: [(&str, fn()); 7] = [
+    ("f1", experiment_f1),
+    ("f2", experiment_f2),
+    ("f3", experiment_f3),
+    ("f4", experiment_f4),
+    ("t5", experiment_t5),
+    ("d6", experiment_d6),
+    ("s1", experiment_s1),
+];
+
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    // Split flag/value pairs (for the bench experiment) from experiment ids.
-    let mut ids: Vec<String> = Vec::new();
-    let mut bench_config = BenchConfig::default();
-    let mut it = raw.iter();
-    while let Some(arg) = it.next() {
-        let mut value_for =
-            |flag: &str| it.next().cloned().ok_or_else(|| format!("{flag} requires a value"));
-        let parsed = match arg.as_str() {
-            "--bench-json" => value_for("--bench-json").map(|v| bench_config.bench_json = Some(v)),
-            "--bench-golden" => {
-                value_for("--bench-golden").map(|v| bench_config.bench_golden = Some(v))
-            }
-            "--check" => value_for("--check").map(|v| bench_config.check = Some(v)),
-            "--compare-previous" => {
-                value_for("--compare-previous").map(|v| bench_config.compare_previous = Some(v))
-            }
-            "--jobs" => value_for("--jobs").and_then(|v| {
-                v.parse::<usize>()
-                    .map(|n| bench_config.jobs = Some(n.max(1)))
-                    .map_err(|_| format!("bad --jobs `{v}`"))
-            }),
-            // Reject unknown flags loudly: a typo like `--chck` must not be
-            // swallowed as an experiment id, silently skipping the drift
-            // check while exiting 0.
-            other if other.starts_with('-') => Err(format!("unknown option `{other}`")),
-            other => {
-                ids.push(other.to_string());
-                Ok(())
-            }
-        };
-        if let Err(msg) = parsed {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
-        }
-    }
-    let bench_flagged = bench_config.bench_json.is_some()
-        || bench_config.bench_golden.is_some()
-        || bench_config.check.is_some()
-        || bench_config.compare_previous.is_some()
-        || bench_config.jobs.is_some();
-    if ids.is_empty() && bench_flagged {
-        ids.push("bench".to_string());
+    let ids: Vec<String> = std::env::args().skip(1).collect();
+    // Reject unknown ids and flags loudly instead of silently running nothing.
+    if let Some(bad) =
+        ids.iter().find(|a| *a != "all" && !EXPERIMENTS.iter().any(|(id, _)| id == a))
+    {
+        eprintln!("error: unknown experiment `{bad}` (expected f1 f2 f3 f4 t5 d6 s1 or all)");
+        return ExitCode::from(2);
     }
     let want = |id: &str| ids.is_empty() || ids.iter().any(|a| a == id || a == "all");
     println!("Path Invariants (PLDI 2007) — experiment reproduction harness\n");
-    if want("f1") {
-        experiment_f1();
-    }
-    if want("f2") {
-        experiment_f2();
-    }
-    if want("f3") {
-        experiment_f3();
-    }
-    if want("f4") {
-        experiment_f4();
-    }
-    if want("t5") {
-        experiment_t5();
-    }
-    if want("d6") {
-        experiment_d6();
-    }
-    if want("s1") {
-        experiment_s1();
-    }
-    // The trajectory verifies the corpus twice, so it is opt-in (by id,
-    // `all`, or any bench flag) rather than part of the bare default run.
-    if ids.iter().any(|a| a == "bench" || a == "all") {
-        banner("BENCH", "benchmark trajectory — corpus solver-call counters, cached vs uncached");
-        if let Err(msg) = run_bench(&bench_config) {
-            eprintln!("error: {msg}");
-            return ExitCode::FAILURE;
+    for (id, run) in EXPERIMENTS {
+        if want(id) {
+            run();
         }
-        println!();
     }
     ExitCode::SUCCESS
 }

@@ -20,8 +20,11 @@
 //! per-engine exploration counters per task — against the committed
 //! `tests/golden/corpus.json`, so a PR that flips a verdict, blows up
 //! refinement counts, or regresses solver-call discipline fails tier-1
-//! immediately.  The [`trajectory`] module builds the benchmark trajectory
-//! point (`BENCH_pr10.json`) on the same harness.
+//! immediately.  The same test re-runs the CEGAR tasks with the caches off
+//! and races the corpus, holding both to the golden rows and the portfolio.
+//! The only way to regenerate that snapshot is the batch path itself:
+//! `pathinv-cli --all --engine portfolio --certify --golden
+//! tests/golden/corpus.json`, which writes it only when the run passes.
 //!
 //! Every conclusive verdict additionally carries a certificate (an
 //! inductive invariant map, a bounded-unroll claim, or a concrete trace)
@@ -34,13 +37,11 @@
 
 pub mod cache;
 pub mod differential;
-pub mod experiments;
 pub mod fuzz;
 pub mod isolate;
 pub mod race;
 pub mod serve;
 pub mod smoke;
-pub mod trajectory;
 
 use pathinv_core::{BmcConfig, CegarConfig, PdrConfig, RefinerKind, VerifierStats};
 use pathinv_ir::{corpus, parse_program, Program};

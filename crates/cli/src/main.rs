@@ -8,7 +8,6 @@
 //! and fail on any disagreement.
 
 use pathinv_cli::differential::DifferentialReport;
-use pathinv_cli::trajectory::trajectory_from_cached;
 use pathinv_cli::{
     corpus_programs, load_pinv_file, make_tasks, run_batch, EngineChoice, RefinerChoice,
 };
@@ -19,7 +18,6 @@ pathinv-cli — batch verification over the Path Invariants corpus
 
 USAGE:
     pathinv-cli [OPTIONS] [FILE.pinv ...]
-    pathinv-cli trajectory --history [DIR]
     pathinv-cli fuzz [FUZZ OPTIONS]
     pathinv-cli serve [SERVE OPTIONS]
     pathinv-cli serve-smoke [SMOKE OPTIONS]
@@ -29,9 +27,6 @@ ARGS:
                            of the corpus
 
 SUBCOMMANDS:
-    trajectory --history   aggregate every committed BENCH_*.json trajectory
-                           point (in DIR, default the current directory) into
-                           one per-PR summary table
     fuzz                   generate a seeded differential-fuzzing campaign and
                            cross-check every program three ways (engine vs
                            engine, verifier vs concrete interpreter, cached vs
@@ -136,14 +131,13 @@ OPTIONS:
                            validates (inconclusive ones pass vacuously);
                            exits 1 on any rejected or missing certificate
     --json <PATH>          write the full JSON report to PATH (`-` = stdout)
-    --golden <PATH>        write the deterministic golden snapshot to PATH
+    --golden <PATH>        write the deterministic golden snapshot to PATH,
+                           only if the run passes (exit status 0); from the
+                           repository root, `--all --engine portfolio
+                           --certify --golden tests/golden/corpus.json`
+                           regenerates the committed golden
     --no-cache             disable the incremental solver caches on cegar
                            tasks (same verdicts, more solver calls)
-    --bless                regenerate every committed golden snapshot
-                           (tests/golden/corpus.json, tests/golden/bench.json)
-                           and the BENCH_pr10.json trajectory point (including
-                           its race, serve, supervision, and certificate-audit
-                           sections); run from the repository root
     --quiet                suppress the summary table
     --help                 show this help
 
@@ -169,7 +163,6 @@ struct Options {
     json_path: Option<String>,
     golden_path: Option<String>,
     no_cache: bool,
-    bless: bool,
     quiet: bool,
 }
 
@@ -192,7 +185,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         json_path: None,
         golden_path: None,
         no_cache: false,
-        bless: false,
         quiet: false,
     };
     let mut engine_set = false;
@@ -257,7 +249,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--json" => opts.json_path = Some(value_for("--json")?),
             "--golden" => opts.golden_path = Some(value_for("--golden")?),
             "--no-cache" => opts.no_cache = true,
-            "--bless" => opts.bless = true,
             "--help" | "-h" => return Err(String::new()),
             other if other.starts_with('-') => {
                 return Err(format!("unknown option `{other}`"));
@@ -286,8 +277,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             || opts.max_refinements.is_some()
             || opts.beam_workers.is_some()
             || opts.no_cache
-            || opts.golden_path.is_some()
-            || opts.bless;
+            || opts.golden_path.is_some();
         if conflicting {
             return Err("--race runs the default engine portfolio per program; it only combines \
                         with --all, .pinv files, --jobs, --json, --certify, --timeout-ms, and \
@@ -295,180 +285,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 .to_string());
         }
     }
-    if !opts.all && opts.files.is_empty() && !opts.bless {
-        return Err("nothing to do: pass --all, --bless, and/or .pinv files".to_string());
-    }
-    if opts.bless {
-        let conflicting = opts.all
-            || !opts.files.is_empty()
-            || opts.no_cache
-            || opts.timeout_ms.is_some()
-            || opts.max_refinements.is_some()
-            || opts.choice != RefinerChoice::Both
-            || engine_set
-            || opts.json_path.is_some()
-            || opts.golden_path.is_some();
-        if conflicting {
-            return Err("--bless runs the full corpus under a fixed configuration (the whole \
-                        engine portfolio, plus the cached + uncached cegar trajectory); it only \
-                        combines with --jobs and --quiet"
-                .to_string());
-        }
+    if !opts.all && opts.files.is_empty() {
+        return Err("nothing to do: pass --all and/or .pinv files".to_string());
     }
     Ok(opts)
-}
-
-/// Regenerates every committed golden snapshot and the trajectory point.
-/// Paths are relative to the current directory, which must be the
-/// repository root.
-fn bless(jobs: usize) -> ExitCode {
-    const CORPUS_GOLDEN: &str = "tests/golden/corpus.json";
-    const BENCH_GOLDEN: &str = "tests/golden/bench.json";
-    const BENCH_POINT: &str = "BENCH_pr10.json";
-    if !std::path::Path::new("tests/golden").is_dir() {
-        eprintln!("error: tests/golden/ not found; run --bless from the repository root");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("blessing: verifying the corpus with the whole engine portfolio (certified)...");
-    let mut portfolio_tasks =
-        make_tasks(corpus_programs(), EngineChoice::Portfolio, RefinerChoice::Both, None);
-    for t in &mut portfolio_tasks {
-        t.certify = true;
-    }
-    let portfolio = run_batch(portfolio_tasks, jobs);
-    let portfolio_errors = portfolio.tasks.iter().filter(|t| t.verdict == "error").count();
-    if portfolio_errors > 0 {
-        eprintln!("error: {portfolio_errors} task(s) errored; refusing to bless broken goldens");
-        return ExitCode::FAILURE;
-    }
-    // Blessing pins certificate digests into the goldens; every conclusive
-    // verdict must carry a certificate the independent checker accepts.
-    let cert_failures: Vec<String> = portfolio
-        .tasks
-        .iter()
-        .filter(|t| matches!(t.cert_verdict.as_str(), "invalid" | "missing" | "unsupported"))
-        .map(|t| {
-            format!(
-                "{}/{}: {} verdict has certificate audit {}: {}",
-                t.program_name, t.engine, t.verdict, t.cert_verdict, t.cert_reason
-            )
-        })
-        .collect();
-    if !cert_failures.is_empty() {
-        eprintln!(
-            "error: certificate audit failed; refusing to bless:\n  {}",
-            cert_failures.join("\n  ")
-        );
-        return ExitCode::FAILURE;
-    }
-    let diff = DifferentialReport::from_batch(&portfolio);
-    let disagreements = diff.disagreements();
-    if !disagreements.is_empty() {
-        eprintln!(
-            "error: cross-engine verdict disagreements; refusing to bless:\n  {}",
-            disagreements.join("\n  ")
-        );
-        return ExitCode::FAILURE;
-    }
-    eprint!("{}", diff.render_summary());
-    // The portfolio already contains the cached CEGAR corpus run; reuse its
-    // cegar subset as the trajectory's cached side (the counters are
-    // deterministic, so this is identical to a fresh run) and only the
-    // uncached baseline is verified again.  The subset's wall clock is the
-    // serial-equivalent sum of its task times.
-    let cegar_tasks: Vec<_> =
-        portfolio.tasks.iter().filter(|t| t.engine == "cegar").cloned().collect();
-    let cached = pathinv_cli::BatchReport {
-        jobs: portfolio.jobs,
-        wall_ms_total: cegar_tasks.iter().map(|t| t.wall_ms).sum(),
-        tasks: cegar_tasks,
-    };
-    eprintln!("blessing: verifying the corpus again (uncached cegar baseline)...");
-    let mut trajectory = trajectory_from_cached(cached, jobs);
-    eprintln!("blessing: racing the portfolio over the corpus (4 lanes per program)...");
-    let race = pathinv_cli::race::run_race(corpus_programs(), jobs.min(4), false, None);
-    let race_mismatches = race.mismatches();
-    if !race_mismatches.is_empty() {
-        eprintln!(
-            "error: racing lanes disagree; refusing to bless:\n  {}",
-            race_mismatches.join("\n  ")
-        );
-        return ExitCode::FAILURE;
-    }
-    let race_vs_portfolio = race.mismatches_against_portfolio(&diff);
-    if !race_vs_portfolio.is_empty() {
-        eprintln!(
-            "error: racing verdicts contradict the portfolio; refusing to bless:\n  {}",
-            race_vs_portfolio.join("\n  ")
-        );
-        return ExitCode::FAILURE;
-    }
-    trajectory.race = Some(race);
-    eprintln!("blessing: daemon harness (thread-phase cold/warm timings, chaos availability)...");
-    let smoke = match pathinv_cli::smoke::run_serve_smoke(42, false) {
-        Ok(smoke) => smoke,
-        Err(msg) => {
-            eprintln!("error: serve-smoke harness failed; refusing to bless: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    trajectory.serve = Some(pathinv_cli::trajectory::ServeBench {
-        programs: smoke.programs,
-        cold_ms: smoke.cold_ms,
-        warm_ms: smoke.warm_restart_ms,
-    });
-    eprintln!("blessing: supervision pass (process-isolation overhead)...");
-    let mut supervision = pathinv_cli::serve::bench_supervision(jobs.min(4));
-    supervision.chaos_submitted = smoke.chaos.submitted;
-    supervision.chaos_answered = smoke.chaos.answered;
-    supervision.chaos_quarantined = smoke.chaos.quarantined;
-    supervision.availability = smoke.chaos.availability();
-    trajectory.supervision = Some(supervision);
-    let errors = trajectory
-        .cached
-        .tasks
-        .iter()
-        .chain(trajectory.uncached.tasks.iter())
-        .filter(|t| t.verdict == "error")
-        .count();
-    if errors > 0 {
-        eprintln!("error: {errors} task(s) errored; refusing to bless broken goldens");
-        return ExitCode::FAILURE;
-    }
-    let parity = trajectory.parity_failures();
-    if !parity.is_empty() {
-        eprintln!(
-            "error: cached and uncached runs disagree on observable outcomes:\n  {}",
-            parity.join("\n  ")
-        );
-        return ExitCode::FAILURE;
-    }
-    let writes = [
-        (CORPUS_GOLDEN, portfolio.to_golden_json().pretty()),
-        (BENCH_GOLDEN, trajectory.to_golden_json().pretty()),
-        (BENCH_POINT, trajectory.to_json().pretty()),
-    ];
-    for (path, text) in writes {
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("blessed {path}");
-    }
-    eprintln!(
-        "solver calls: {} cached vs {} uncached ({:.1}% saved)",
-        trajectory.totals.solver_calls,
-        trajectory.baseline.solver_calls,
-        trajectory.solver_call_reduction() * 100.0
-    );
-    let valid = trajectory.cached.tasks.iter().filter(|t| t.cert_verdict == "valid").count();
-    let vacuous = trajectory.cached.tasks.iter().filter(|t| t.cert_verdict == "vacuous").count();
-    let check_ms: f64 = trajectory.cached.tasks.iter().map(|t| t.cert_check_ms).sum();
-    eprintln!(
-        "certificates (cegar subset): {valid} validated, {vacuous} vacuous, \
-         checker time {check_ms:.1} ms"
-    );
-    ExitCode::SUCCESS
 }
 
 /// The `--race` path: race the portfolio lanes per program, print the race
@@ -508,47 +328,6 @@ fn race_main(
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-/// The `trajectory --history` subcommand: render every committed
-/// `BENCH_*.json` point in the given directory as one table.
-fn trajectory_history(args: &[String]) -> ExitCode {
-    let mut dir: Option<String> = None;
-    let mut history = false;
-    for arg in args {
-        match arg.as_str() {
-            "--history" => history = true,
-            other if other.starts_with('-') => {
-                eprintln!("error: unknown trajectory option `{other}`\n\n{USAGE}");
-                return ExitCode::from(2);
-            }
-            path => {
-                if dir.replace(path.to_string()).is_some() {
-                    eprintln!("error: trajectory takes at most one directory\n\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-    }
-    if !history {
-        eprintln!("error: the trajectory subcommand requires --history\n\n{USAGE}");
-        return ExitCode::from(2);
-    }
-    let dir = std::path::PathBuf::from(dir.unwrap_or_else(|| ".".to_string()));
-    match pathinv_cli::trajectory::collect_history(&dir) {
-        Ok(points) if points.is_empty() => {
-            eprintln!("error: no BENCH_*.json trajectory points found in {}", dir.display());
-            ExitCode::FAILURE
-        }
-        Ok(points) => {
-            print!("{}", pathinv_cli::trajectory::render_history(&points));
-            ExitCode::SUCCESS
-        }
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            ExitCode::FAILURE
-        }
     }
 }
 
@@ -783,7 +562,7 @@ fn serve_smoke_main(args: &[String]) -> ExitCode {
         eprintln!("error: {msg}\n\n{USAGE}");
         return ExitCode::from(2);
     }
-    let report = match pathinv_cli::smoke::run_serve_smoke(seed, true) {
+    let report = match pathinv_cli::smoke::run_serve_smoke(seed) {
         Ok(report) => report,
         Err(msg) => {
             eprintln!("error: serve-smoke failed: {msg}");
@@ -816,9 +595,6 @@ fn main() -> ExitCode {
         // fall into the interactive argument parser.
         return ExitCode::from(pathinv_cli::isolate::run_one_job_main() as u8);
     }
-    if args.first().map(String::as_str) == Some("trajectory") {
-        return trajectory_history(&args[1..]);
-    }
     if args.first().map(String::as_str) == Some("fuzz") {
         return fuzz_main(&args[1..]);
     }
@@ -839,10 +615,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if opts.bless {
-        return bless(opts.jobs);
-    }
 
     let mut programs = Vec::new();
     let mut load_failures = 0usize;
@@ -910,16 +682,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if let Some(path) = &opts.golden_path {
-        let text = report.to_golden_json().pretty();
-        if path == "-" {
-            print!("{text}");
-        } else if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
     let errors = report.tasks.iter().filter(|t| t.verdict == "error").count();
     let disagreements = differential.as_ref().map(|d| d.disagreements().len()).unwrap_or(0);
     if disagreements > 0 {
@@ -946,9 +708,25 @@ fn main() -> ExitCode {
             );
         }
     }
-    if errors > 0 || load_failures > 0 || disagreements > 0 || cert_failures > 0 {
-        ExitCode::FAILURE
-    } else {
+    let passed = errors == 0 && load_failures == 0 && disagreements == 0 && cert_failures == 0;
+    if let Some(path) = &opts.golden_path {
+        // A golden pins whatever the run produced, so a failing run must
+        // not overwrite the committed one.
+        if passed {
+            let text = report.to_golden_json().pretty();
+            if path == "-" {
+                print!("{text}");
+            } else if let Err(e) = std::fs::write(path, text) {
+                eprintln!("error: cannot write {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        } else {
+            eprintln!("error: the run failed; golden snapshot not written to {path}");
+        }
+    }
+    if passed {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

@@ -17,8 +17,9 @@
 //!   ([`RaceReport::mismatches`]; the CLI exits 1 otherwise, and the
 //!   `race-smoke` CI job runs exactly that over the corpus), and
 //! * racing verdicts must match the non-racing portfolio's combined
-//!   verdicts ([`RaceReport::mismatches_against_portfolio`], exercised by
-//!   the corpus agreement test) — `cancelled`, like `unknown`, is "no
+//!   verdicts ([`RaceReport::mismatches_against_portfolio`]; the corpus
+//!   regression test, `tests/corpus_regression.rs`, races the whole corpus
+//!   against its portfolio run) — `cancelled`, like `unknown`, is "no
 //!   opinion" and can never contradict anything.
 //!
 //! Ties are broken deterministically by engine priority: when two lanes
@@ -463,7 +464,8 @@ mod tests {
     fn race_agrees_with_the_portfolio_on_the_corpus_slice() {
         // The race-vs-portfolio differential on a representative slice
         // (safe, unsafe, and unknown-heavy programs); the full-corpus
-        // agreement runs in the race-smoke CI job and the regression suite.
+        // agreement runs in `tests/corpus_regression.rs`, and the
+        // race-smoke CI job checks lane-vs-lane agreement on the corpus.
         let names = ["FORWARD", "FIGURE4", "BUGGY_INITCHECK", "pinv/half_integer_bug"];
         let race = run_race(slice(&names), 4, false, None);
         let portfolio = run_batch(

@@ -1175,80 +1175,6 @@ fn serve_stdin(handle: ServiceHandle) -> i32 {
     0
 }
 
-/// Measures the cost of process isolation for `--bless`: one cold pass of
-/// the source corpus per isolation mode, each against a fresh in-memory
-/// cache (so neither pass gets warm hits).  Only meaningful from inside
-/// the real `pathinv-cli` binary — the process pass re-execs
-/// `current_exe() run-one-job`.  The chaos-availability numbers of the
-/// returned [`crate::trajectory::SupervisionBench`] are left zeroed; the
-/// caller fills them from the chaos phase of a [`crate::smoke`] run.
-pub fn bench_supervision(workers: usize) -> crate::trajectory::SupervisionBench {
-    let corpus = crate::corpus_sources();
-    let pass = |isolation: IsolationMode| -> f64 {
-        let config = ServeConfig {
-            workers,
-            queue_capacity: corpus.len().max(16),
-            drain_grace_ms: 120_000,
-            isolation,
-            ..ServeConfig::default()
-        };
-        let handle = ServiceHandle::start(&config);
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let out: SharedWriter = Arc::new(Mutex::new(Box::new(BufWriterShim(Arc::clone(&buf)))));
-        let start = Instant::now();
-        for (i, (name, src)) in corpus.iter().enumerate() {
-            let line = Json::object(vec![
-                ("op", Json::Str("verify".to_string())),
-                ("id", Json::Int(i as i64 + 1)),
-                ("name", Json::Str(name.clone())),
-                ("program", Json::Str(src.clone())),
-            ])
-            .compact();
-            handle.handle_line(&line, &out);
-        }
-        loop {
-            let text = String::from_utf8(buf.lock().expect("bench buffer poisoned").clone())
-                .expect("responses are UTF-8");
-            if text.lines().count() >= corpus.len() {
-                break;
-            }
-            assert!(
-                start.elapsed() < Duration::from_secs(600),
-                "supervision bench ({}) timed out",
-                isolation.name()
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        handle.drain();
-        wall_ms
-    };
-    let in_thread_ms = pass(IsolationMode::Thread);
-    let process_ms = pass(IsolationMode::Process);
-    crate::trajectory::SupervisionBench {
-        programs: corpus.len(),
-        in_thread_ms,
-        process_ms,
-        chaos_submitted: 0,
-        chaos_answered: 0,
-        chaos_quarantined: 0,
-        availability: 0.0,
-    }
-}
-
-/// A `Write` sink into a shared buffer for in-process benches.
-struct BufWriterShim(Arc<Mutex<Vec<u8>>>);
-
-impl Write for BufWriterShim {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().expect("bench buffer poisoned").extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

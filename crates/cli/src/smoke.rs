@@ -209,8 +209,7 @@ type Reference = BTreeMap<String, (String, String)>;
 /// child — the exact path a `--isolate process` daemon worker takes —
 /// before any daemon (or any chaos) exists.  A fresh process per job keeps
 /// the reference independent of whatever incremental-cache state the
-/// *calling* process has accumulated; `--bless` runs the harness after
-/// several full corpus passes, and a warm cache can steer CEGAR to a
+/// *calling* process has accumulated: a warm cache can steer CEGAR to a
 /// different (equally valid) invariant with a different certificate digest.
 fn reference_verdicts(corpus: &[(String, String)]) -> Result<Reference, String> {
     let engine = crate::serve::engine_spec_named("cegar", None)?;
@@ -418,8 +417,7 @@ fn run_deck(client: &mut Client, deck: &[Probe]) -> Result<(BTreeMap<i64, Json>,
     Ok((collector.finish()?, wall_ms))
 }
 
-/// Answer counts of the chaos phase; `--bless` folds them into the
-/// `supervision` section of the bench point.
+/// Answer counts of the chaos phase.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Tally {
     /// Verify submissions carrying an id.
@@ -554,18 +552,15 @@ struct Harness {
     corpus: Vec<(String, String)>,
     reference: Reference,
     seed: u64,
-    verbose: bool,
 }
 
 impl Harness {
     fn say(&self, msg: &str) {
-        if self.verbose {
-            eprintln!("serve-smoke: {msg}");
-        }
+        eprintln!("serve-smoke: {msg}");
     }
 
     fn spawn(&self, socket: &Path, args: &[&str]) -> Result<Daemon, String> {
-        Daemon::spawn(&self.exe, socket, args, self.verbose)
+        Daemon::spawn(&self.exe, socket, args, true)
     }
 
     /// A corpus-only pass on a new connection, checked against `reference`;
@@ -719,8 +714,8 @@ impl Harness {
     }
 }
 
-/// Runs both daemon phases of the harness with the scenario `seed`;
-/// `verbose` prints per-phase progress and the daemons' stderr.  Only
+/// Runs both daemon phases of the harness with the scenario `seed`,
+/// printing per-phase progress and the daemons' stderr.  Only
 /// meaningful from inside the real `pathinv-cli` binary, which it re-execs
 /// as the daemon and as the reference's `run-one-job` children.
 ///
@@ -729,11 +724,11 @@ impl Harness {
 /// Returns a human-readable message on the first contract violation (a
 /// dead or hung daemon, a dropped or duplicated answer, a wrong verdict, a
 /// missed cache, an unclean drain); the caller exits 1.
-pub fn run_serve_smoke(seed: u64, verbose: bool) -> Result<SmokeReport, String> {
+pub fn run_serve_smoke(seed: u64) -> Result<SmokeReport, String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
     let corpus = crate::corpus_sources();
     let reference = reference_verdicts(&corpus)?;
-    let harness = Harness { exe, corpus, reference, seed, verbose };
+    let harness = Harness { exe, corpus, reference, seed };
     harness.say(&format!("reference computed for {} programs; seed {seed}", harness.corpus.len()));
     let (cold_ms, warm_ms, warm_restart_ms) = harness.thread_phase()?;
     let (chaos, workers_respawned) = harness.chaos_phase()?;

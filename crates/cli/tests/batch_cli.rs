@@ -52,6 +52,45 @@ fn load_failures_exit_nonzero() {
     assert_eq!(run_cli(&["--quiet", &ok, "/nonexistent/nope.pinv"]), 1);
 }
 
+/// A fresh path for a golden snapshot the test expects the CLI to write (or
+/// to refuse to write).
+fn temp_golden(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("pathinv-cli-exit-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{}-{name}", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+/// `--golden` writes its snapshot only when the run passes: a file that
+/// fails to load fails the run, and no snapshot appears.
+#[test]
+fn failing_runs_write_no_golden() {
+    let ok = temp_pinv("golden_ok.pinv", "proc ok(x: int) { x = 1; assert(x == 1); }");
+    let golden = temp_golden("refused.json");
+    let golden_arg = golden.to_str().unwrap();
+    assert_eq!(run_cli(&["--quiet", "--golden", golden_arg, &ok, "/nonexistent/nope.pinv"]), 1);
+    assert!(!golden.exists(), "a failing run must not write {golden_arg}");
+}
+
+/// The one regeneration command reproduces the committed corpus golden
+/// byte for byte.
+#[test]
+fn passing_portfolio_run_writes_the_committed_golden() {
+    let golden = temp_golden("corpus.json");
+    let golden_arg = golden.to_str().unwrap();
+    let args = ["--quiet", "--all", "--engine", "portfolio", "--certify", "--golden", golden_arg];
+    assert_eq!(run_cli(&args), 0);
+    let written = std::fs::read_to_string(&golden).expect("a passing run writes the golden");
+    std::fs::remove_file(&golden).ok();
+    let committed = include_str!("../../../tests/golden/corpus.json");
+    assert!(
+        written == committed,
+        "`pathinv-cli {}` differs from tests/golden/corpus.json",
+        args.join(" ")
+    );
+}
+
 /// Usage errors are distinguished from task failures.
 #[test]
 fn usage_errors_exit_two() {
@@ -60,6 +99,7 @@ fn usage_errors_exit_two() {
     assert_eq!(run_cli(&["--engine", "bmc", "--max-refinements", "3", "x.pinv"]), 2);
     assert_eq!(run_cli(&["--engine", "pdr", "--refiner", "both", "x.pinv"]), 2);
     assert_eq!(run_cli(&[]), 2, "no inputs is a usage error");
+    assert_eq!(run_cli(&["--bless"]), 2, "--golden is the only regeneration path");
 }
 
 /// The portfolio cross-checks engines end-to-end through the real binary:

@@ -13,7 +13,7 @@
 //! * [`TaskReport`] — the outcome of one (program, engine) job with its
 //!   full and golden JSON projections.
 //! * [`SCHEMA_VERSION`] — stamped into every report; bumped on breaking
-//!   layout changes so golden snapshots are re-blessed deliberately.
+//!   layout changes so golden snapshots are regenerated deliberately.
 //! * [`engine_rank`] — the deterministic engine column ordering.
 
 #![warn(missing_docs)]

@@ -12,17 +12,23 @@
 //! fails here immediately, in debug and release builds alike: the counters
 //! do not depend on the build profile.  The same run feeds the
 //! differential check: no two engines may reach contradictory conclusions
-//! on any corpus program.
+//! on any corpus program.  Two more runs are held to that portfolio run:
+//! the CEGAR tasks with the incremental caches off must reach the golden
+//! rows' observable outcomes with no cache hit, and a race of the corpus
+//! must never contradict the portfolio's combined verdicts.
 //!
-//! To regenerate the snapshot (and the benchmark goldens) after an
-//! *intentional* change:
+//! To regenerate the snapshot after an *intentional* change, from the
+//! repository root (the CLI writes it only when the run passes: no task
+//! error, no cross-engine disagreement, no failed certificate audit):
 //!
 //! ```text
-//! cargo run --release -p pathinv-cli -- --bless
+//! cargo run --release -p pathinv-cli -- --all --engine portfolio --certify \
+//!     --golden tests/golden/corpus.json
 //! ```
 
 use pathinv_cli::differential::DifferentialReport;
 use pathinv_cli::json::{self, Json};
+use pathinv_cli::race::run_race;
 use pathinv_cli::{corpus_programs, make_tasks, run_batch, EngineChoice, RefinerChoice};
 use std::collections::BTreeMap;
 
@@ -115,8 +121,9 @@ fn corpus_verdicts_and_refinement_counts_match_golden_snapshot() {
     assert!(
         failures.is_empty(),
         "corpus results drifted from tests/golden/corpus.json:\n  {}\n\n\
-         If the change is intentional, regenerate the snapshots with\n  \
-         cargo run --release -p pathinv-cli -- --bless",
+         If the change is intentional, regenerate the snapshot with\n  \
+         cargo run --release -p pathinv-cli -- --all --engine portfolio --certify \
+         --golden tests/golden/corpus.json",
         failures.join("\n  ")
     );
 
@@ -133,6 +140,47 @@ fn corpus_verdicts_and_refinement_counts_match_golden_snapshot() {
         Vec::<String>::new(),
         "cross-engine verdict disagreement on the corpus"
     );
+
+    // Cached/uncached parity: the incremental caches may change how much
+    // solver work a CEGAR task does, never what it concludes or proves.
+    let mut uncached_tasks =
+        make_tasks(corpus_programs(), EngineChoice::Cegar, RefinerChoice::Both, None);
+    for t in &mut uncached_tasks {
+        t.disable_cegar_caching();
+    }
+    let uncached = outcomes_from_golden_json(&run_batch(uncached_tasks, jobs()).to_golden_json());
+    assert_eq!(uncached.len(), 32, "the corpus has 32 CEGAR tasks");
+    let mut parity: Vec<String> = Vec::new();
+    for (key, row) in &uncached {
+        let golden_row = &golden[key];
+        let observable = ["verdict", "refinements", "predicates", "art_nodes"];
+        for field in observable.into_iter().chain(["cert_kind", "cert_size", "cert_digest"]) {
+            if row.get(field) != golden_row.get(field) {
+                parity.push(format!(
+                    "{key:?}: {field} {} uncached, {} in the golden",
+                    show(row.get(field)),
+                    show(golden_row.get(field))
+                ));
+            }
+        }
+        for field in ["query_cache_hits", "post_cache_hits"] {
+            if row.get(field).and_then(Json::as_int) != Some(0) {
+                parity.push(format!("{key:?}: {field} is {} uncached", show(row.get(field))));
+            }
+        }
+    }
+    assert_eq!(parity, Vec::<String>::new(), "uncached CEGAR runs diverge from the golden");
+
+    // The racing portfolio: lanes agree with each other, none errors, and
+    // no race verdict contradicts the portfolio's combined verdict.
+    let race = run_race(corpus_programs(), jobs(), false, None);
+    let race_failures: Vec<String> = race
+        .mismatches()
+        .into_iter()
+        .chain(race.errors())
+        .chain(race.mismatches_against_portfolio(&diff))
+        .collect();
+    assert_eq!(race_failures, Vec::<String>::new(), "the corpus race contradicts the portfolio");
 }
 
 #[test]
