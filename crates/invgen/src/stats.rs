@@ -26,8 +26,11 @@ pub struct SynthCounters {
     /// covered the decision set, or presolve refuted the extension on
     /// constant/contradictory rows alone.
     pub branches_pruned: u64,
-    /// Conflict cores learned from infeasible extensions (IIS extraction
-    /// plus presolve-detected contradictions).
+    /// Conflict cores learned from infeasible extensions: the support of
+    /// each failed check's Farkas certificate (already irreducible) plus
+    /// presolve-detected contradictions.  Duplicates are counted once; a
+    /// core only prunes candidates of the implication that learned it and
+    /// is dropped when that implication is done.
     pub cores_learned: u64,
     /// Syntheses answered from the cross-refinement memo without running
     /// the search (recorded by the path-invariant refiner in

@@ -24,11 +24,15 @@
 //!   equalities are eliminated out of the accumulated system per branch,
 //!   duplicate and dominated rows are dropped, and contradictions detected
 //!   by constant folding never reach the simplex at all;
-//! * infeasible extensions yield a *minimal Farkas conflict* (an IIS from
-//!   [`IncrementalSimplex::minimal_infeasible_subsystem`]) which is mapped
-//!   back to the multiplier decisions that produced its rows; every future
-//!   branch whose decision set contains a learned conflict core is skipped
-//!   without solver work;
+//! * infeasible extensions yield a *minimal Farkas conflict*: the support of
+//!   the certificate read off the conflict row
+//!   ([`IncrementalSimplex::conflict_core`]) is already irreducible, and it
+//!   is mapped back to the multiplier decisions that produced its rows;
+//!   every later branch of the same implication whose decision set contains
+//!   a learned conflict core is skipped without solver work.  Cores are
+//!   dropped once their implication is done: each one holds the decision
+//!   of the implication that learned it, so no later frontier entry can
+//!   contain a whole one;
 //! * candidate extensions are processed best-first — fewest non-zero
 //!   multipliers first, under a documented deterministic total order
 //!   (`multiplier_choices`) — so the surviving frontier holds the least
@@ -127,9 +131,9 @@ pub struct SynthConfig {
     /// ablation baseline used by the `synth_frontier` microbenchmark.
     pub presolve: bool,
     /// Whether infeasible extensions learn minimal Farkas conflict cores
-    /// that prune every later branch containing them.  On by default; off
-    /// is the purely enumerative frontier of the pre-conflict-driven
-    /// pipeline.
+    /// that prune every later branch of the same implication containing
+    /// them.  On by default; off is the purely enumerative frontier of the
+    /// pre-conflict-driven pipeline.
     pub conflict_driven: bool,
     /// Worker threads evaluating beam candidates (`1` = the sequential
     /// search).  Candidates are evaluated in parallel waves and merged in
@@ -213,10 +217,20 @@ struct FrontierEntry {
     seen_vars: BTreeSet<Unknown>,
 }
 
-/// A learned conflict core: a set of `(implication position, option index)`
-/// decisions that is jointly infeasible.  Any branch whose decision set
-/// contains every pair is skipped without solver work.
+/// A learned conflict core, less the current implication's own decision:
+/// the `(implication position, option index)` parent decisions that are
+/// jointly infeasible with the option of the bucket holding the core.  A
+/// candidate with that option whose parent takes every pair is skipped
+/// without solver work.
 type ConflictCore = Vec<(u32, u32)>;
+
+/// The conflict cores learned while advancing across one implication,
+/// bucketed by option index.  Every core learned at position `pos` holds
+/// `(pos, opt)` — a frontier entry's system is feasible, so a conflict
+/// needs a row of the candidate's batch, and every batch row depends on
+/// `pos` — so the pair is implied by the bucket and not stored, and no
+/// later implication's frontier entry can hold a complete core.
+type LearnedCores = Vec<Vec<ConflictCore>>;
 
 /// Result of a successful synthesis.
 #[derive(Clone, Debug)]
@@ -267,11 +281,10 @@ pub fn synthesize(
     // re-check, and an infeasible re-check pays for itself by learning the
     // conflict core that prunes the rest of its subtree.
     let mut frontier: Vec<FrontierEntry> = vec![FrontierEntry::default()];
-    let mut learned: Vec<ConflictCore> = Vec::new();
     for (idx, imp) in implications.iter().enumerate() {
         let pos = idx as u32;
         let mut tiers = OptionTiers::new(imp, pos, config)?;
-        let next = advance_frontier(&frontier, &mut tiers, pos, &mut learned, config, &mut stats)?;
+        let next = advance_frontier(&frontier, &mut tiers, pos, config, &mut stats)?;
         if next.is_empty() {
             return Err(InvgenError::no_invariant(format!(
                 "condition `{}` has no solution within the multiplier bounds",
@@ -384,21 +397,15 @@ fn evaluate_candidate(
     option: &[LinConstraint<Unknown>],
     pos: u32,
     opt_idx: u32,
-    learned: &[ConflictCore],
+    learned: &LearnedCores,
     config: &SynthConfig,
 ) -> InvgenResult<CandidateOutcome> {
-    // Filter 1: learned conflict cores.
+    // Filter 1: the conflict cores learned for this option.
     if config.conflict_driven {
         let covered = |core: &ConflictCore| {
-            core.iter().all(|&(p, o)| {
-                if p == pos {
-                    o == opt_idx
-                } else {
-                    acc.decisions.get(p as usize) == Some(&o)
-                }
-            })
+            core.iter().all(|&(p, o)| acc.decisions.get(p as usize) == Some(&o))
         };
-        if learned.iter().any(covered) {
+        if learned.get(opt_idx as usize).is_some_and(|cores| cores.iter().any(covered)) {
             return Ok(CandidateOutcome::CoveredByCore);
         }
     }
@@ -469,12 +476,14 @@ fn evaluate_candidate(
             if !config.conflict_driven {
                 return Ok(CandidateOutcome::Infeasible(None));
             }
-            // Shrink the conflict to an irreducible infeasible subsystem
-            // and map its rows (in push order: the parent's, then this
-            // option's) back to the decisions that produced them.
+            // The certificate's support is already an irreducible
+            // infeasible subsystem (it is read off one conflict row over
+            // independent slack columns); map its rows (in push order: the
+            // parent's, then this option's) back to the decisions that
+            // produced them.
             let pushed = acc.row_deps.len();
             let mut core_deps: Deps = Vec::new();
-            for i in tableau.minimal_infeasible_subsystem()? {
+            for i in tableau.conflict_core().expect("the check just failed") {
                 let deps = if i < pushed { &acc.row_deps[i] } else { &rows[i - pushed].1 };
                 core_deps = union_deps(&core_deps, deps);
             }
@@ -520,7 +529,7 @@ fn merge_outcome(
     pos: u32,
     parent_decisions: &[u32],
     next: &mut NextFrontier,
-    learned: &mut Vec<ConflictCore>,
+    learned: &mut LearnedCores,
     config: &SynthConfig,
     stats: &mut SynthStats,
 ) {
@@ -552,7 +561,9 @@ fn merge_outcome(
     }
 }
 
-/// Advances the frontier across one implication.
+/// Advances the frontier across one implication.  The conflict cores it
+/// learns live only as long as the advance: none of them can cover a
+/// candidate of a later implication ([`LearnedCores`]).
 ///
 /// Candidates are consumed best-first by `(score, parent, option)`, so a
 /// score tier's candidates all precede the next tier's, and the advance
@@ -565,11 +576,11 @@ fn advance_frontier(
     frontier: &[FrontierEntry],
     tiers: &mut OptionTiers,
     pos: u32,
-    learned: &mut Vec<ConflictCore>,
     config: &SynthConfig,
     stats: &mut SynthStats,
 ) -> InvgenResult<Vec<FrontierEntry>> {
     let mut next = NextFrontier { entries: Vec::new(), kept_per_parent: vec![0; frontier.len()] };
+    let mut learned = LearnedCores::new();
     while next.entries.len() < config.max_frontier {
         let Some(tier) = tiers.encode_next()? else {
             break;
@@ -585,7 +596,7 @@ fn advance_frontier(
                 &candidates,
                 pos,
                 &mut next,
-                learned,
+                &mut learned,
                 config,
                 stats,
             )?;
@@ -596,7 +607,7 @@ fn advance_frontier(
                 &candidates,
                 pos,
                 &mut next,
-                learned,
+                &mut learned,
                 config,
                 stats,
             )?;
@@ -615,7 +626,7 @@ fn advance_tier_sequential(
     candidates: &[(usize, usize)],
     pos: u32,
     next: &mut NextFrontier,
-    learned: &mut Vec<ConflictCore>,
+    learned: &mut LearnedCores,
     config: &SynthConfig,
     stats: &mut SynthStats,
 ) -> InvgenResult<()> {
@@ -674,7 +685,7 @@ fn advance_tier_parallel(
     candidates: &[(usize, usize)],
     pos: u32,
     next: &mut NextFrontier,
-    learned: &mut Vec<ConflictCore>,
+    learned: &mut LearnedCores,
     config: &SynthConfig,
     stats: &mut SynthStats,
 ) -> InvgenResult<()> {
@@ -694,7 +705,7 @@ fn advance_tier_parallel(
         // Evaluate the wave concurrently against the wave-start core set.
         // Contiguous chunks preserve candidate order across the flatten.
         let chunk_len = wave.len().div_ceil(workers);
-        let cores: &[ConflictCore] = learned;
+        let cores: &LearnedCores = learned;
         let wave_outcomes: Vec<InvgenResult<CandidateOutcome>> = std::thread::scope(|scope| {
             let handles: Vec<_> = wave
                 .chunks(chunk_len)
@@ -824,22 +835,30 @@ fn instantiate_from(
     Ok((invariants, valuation))
 }
 
-/// Records a conflict core (decision positions → the options chosen there),
-/// deduplicating against already-learned cores.
+/// Records a conflict core (decision positions → the options chosen there)
+/// in the bucket of option `opt`, deduplicating against the cores already
+/// learned there.
 fn learn_core(
-    learned: &mut Vec<ConflictCore>,
+    learned: &mut LearnedCores,
     stats: &mut SynthStats,
     core_deps: &Deps,
     decisions: &[u32],
     pos: u32,
     opt: u32,
 ) {
-    let core: ConflictCore = core_deps
-        .iter()
-        .map(|&p| (p, if p == pos { opt } else { decisions[p as usize] }))
-        .collect();
-    if !learned.contains(&core) {
-        learned.push(core);
+    debug_assert!(
+        core_deps.contains(&pos) && core_deps.iter().all(|&p| p <= pos),
+        "a core learned at position {pos} must hold ({pos}, {opt}) and earlier pairs only: \
+         {core_deps:?}"
+    );
+    let core: ConflictCore =
+        core_deps.iter().filter(|&&p| p != pos).map(|&p| (p, decisions[p as usize])).collect();
+    let opt = opt as usize;
+    if learned.len() <= opt {
+        learned.resize_with(opt + 1, Vec::new);
+    }
+    if !learned[opt].contains(&core) {
+        learned[opt].push(core);
         stats.cores_learned += 1;
         stats::record_core_learned();
     }
@@ -2090,10 +2109,13 @@ mod tests {
 
     #[test]
     fn synthesis_results_and_work_are_pinned() {
-        // Encoding options one score tier at a time and shrinking cores by
-        // toggling bounds skip only work whose result was never read: the
-        // counters, solver work, implications, and valuation are those of
-        // encoding every option up front and re-pushing each core probe.
+        // Encoding options one score tier at a time, taking cores straight
+        // off the conflict row, and dropping each implication's cores when
+        // it is done skip only work whose result was never read: the
+        // counters, implications, and valuation are those of encoding every
+        // option up front and deletion-filtering every core against one
+        // ever-growing core list.  Every LP-checked candidate costs exactly
+        // one warm check, so warm checks equal systems solved.
         // (Invariants are compared structurally: their rendering follows
         // the symbol interning order, which other tests share.)
         type Pin = (&'static str, [u64; 4], (u64, u64), Option<(usize, &'static [i128])>);
@@ -2104,16 +2126,16 @@ mod tests {
             (
                 "FORWARD",
                 [471, 700, 170, 426],
-                (0, 2239),
+                (0, 471),
                 Some((11, &[-3, 0, 1, 1, 0, 0, -3, 1, 1, 0])),
             ),
             (
                 "INITCHECK",
                 [151, 710, 106, 44],
-                (0, 337),
+                (0, 151),
                 Some((25, &[0, 0, 0, 1, 0, -1, 0, 0, 0, 1, 0, 0, 0, 1, -1, 0, 0, 0])),
             ),
-            ("BUGGY_INITCHECK", [169, 583, 153, 62], (1, 360), None),
+            ("BUGGY_INITCHECK", [169, 583, 153, 62], (1, 169), None),
         ];
         for ((name, program, templates), (pinned, counters, work, solution)) in
             pinned_cases().into_iter().zip(pins)
@@ -2162,15 +2184,13 @@ mod tests {
         let (_, program, templates) = pinned_cases().swap_remove(0);
         let config = SynthConfig::default();
         let mut frontier = vec![FrontierEntry::default()];
-        let (mut learned, mut stats) = (Vec::new(), SynthStats::default());
+        let mut stats = SynthStats::default();
         let mut cut_short = 0;
         for (idx, imp) in verification_conditions(&program, &templates).unwrap().iter().enumerate()
         {
             let pos = idx as u32;
             let mut tiers = OptionTiers::new(imp, pos, &config).unwrap();
-            frontier =
-                advance_frontier(&frontier, &mut tiers, pos, &mut learned, &config, &mut stats)
-                    .unwrap();
+            frontier = advance_frontier(&frontier, &mut tiers, pos, &config, &mut stats).unwrap();
             assert!(!frontier.is_empty(), "{}", imp.label);
             if tiers.encode_next().unwrap().is_some() {
                 cut_short += 1;

@@ -445,8 +445,18 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
 
     /// The support of the most recent conflict: indices (in push order) of
     /// the active constraints carrying a non-zero Farkas multiplier.  This
-    /// is an infeasible subsystem, but not necessarily an irreducible one —
-    /// see [`minimal_infeasible_subsystem`](IncrementalSimplex::minimal_infeasible_subsystem).
+    /// is an *irreducible* infeasible subsystem (IIS): dropping any one of
+    /// its rows leaves a satisfiable system.
+    ///
+    /// The certificate is read off one conflict row `x_b = Σ a_bj·x_j`,
+    /// and that row ranges over non-basic slack columns only: a non-basic
+    /// problem-variable column is unbounded, so it would have been an
+    /// eligible pivot.  Non-basic columns are the tableau's free
+    /// coordinates, so the slack forms of `J` are linearly independent, and
+    /// the support is `{b} ∪ J` (every `a_bj` is non-zero).  Without `b`,
+    /// the rows of `J` are independent single-column bounds; without some
+    /// `j ∈ J`, `x_b` still moves freely through `x_j`.  Either way any
+    /// bounds on the remaining rows are satisfiable.
     ///
     /// Valid after a failed [`check`](IncrementalSimplex::check) until the
     /// certificate is taken or the system changes.
@@ -466,60 +476,6 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
     /// [`conflict_core`](IncrementalSimplex::conflict_core)).
     pub fn active_constraints(&self) -> Vec<LinConstraint<K>> {
         self.constraints.iter().map(|c| LinConstraint::new((*c.expr).clone(), c.op)).collect()
-    }
-
-    /// Shrinks the conflict support of the most recent failed check into an
-    /// *irreducible* infeasible subsystem (IIS, a minimal Farkas conflict):
-    /// the returned indices name an infeasible subset of the active
-    /// constraints from which no row can be dropped without the remainder
-    /// becoming satisfiable.
-    ///
-    /// Uses the standard deletion filter over the certificate support,
-    /// scanning in ascending index order for determinism, on *one* scratch
-    /// tableau holding the whole support.  Each candidate is probed by
-    /// lifting its slack's bounds and warm re-checking: a droppable row
-    /// stays lifted, a needed row gets its bounds back.  Probe `i` therefore
-    /// decides `kept ∪ support[i+1..]`, and the whole filter costs one warm
-    /// check per support row and no cold rebuild.
-    ///
-    /// # Errors
-    ///
-    /// Propagates arithmetic overflow; returns an error if no failed check
-    /// is pending.
-    pub fn minimal_infeasible_subsystem(&self) -> SmtResult<Vec<usize>> {
-        let support = self.conflict_core().ok_or_else(|| {
-            SmtError::unsupported("minimal_infeasible_subsystem requires a failed check")
-        })?;
-        let mut scratch: IncrementalSimplex<K> = IncrementalSimplex::new();
-        for &i in &support {
-            let c = &self.constraints[i];
-            scratch.push_shared(Arc::clone(&c.expr), c.op)?;
-        }
-        // Invariant: exactly the kept rows and support[i..] are bounded, and
-        // they are jointly infeasible when candidate `i` is reached.
-        let slacks: Vec<usize> = scratch.constraints.iter().map(|c| c.slack).collect();
-        let mut kept: Vec<usize> = Vec::new();
-        for (probe, &candidate) in slacks.into_iter().zip(&support) {
-            let bounds = (scratch.lower[probe].take(), scratch.upper[probe].take());
-            if scratch.check()? {
-                // The row is needed, so the witness violates it: its slack
-                // moved while lifted, which a non-basic column does only by
-                // entering the basis, and a free basic column never leaves
-                // it (the Bland loop pivots out violated variables only).
-                // So the slack is basic, and the next check repairs it like
-                // any basic variable outside its bounds.
-                debug_assert!(scratch.rows.contains_key(&probe), "needed slack left the basis");
-                (scratch.lower[probe], scratch.upper[probe]) = bounds;
-                kept.push(candidate);
-            }
-        }
-        // Checked without recording stats, so work counters do not depend
-        // on the build profile.
-        debug_assert!(
-            !scratch.check_inner()?,
-            "the shrunk core must still be infeasible (certificate support was not?)"
-        );
-        Ok(kept)
     }
 
     /// Builds the Farkas certificate for a conflict on basic variable `b`
@@ -829,7 +785,7 @@ mod tests {
             tab.push_constraint(cst).unwrap();
         }
         assert!(!tab.check().unwrap());
-        let core = tab.minimal_infeasible_subsystem().unwrap();
+        let core = tab.conflict_core().unwrap();
         assert!(core.contains(&0), "the lower bound is in every conflict: {core:?}");
         assert_eq!(core.len(), 2, "{core:?}");
         // The core subsystem is infeasible; dropping any row makes it sat.
@@ -846,7 +802,6 @@ mod tests {
     fn conflict_core_requires_a_failed_check() {
         let mut tab: IncrementalSimplex<VarRef> = IncrementalSimplex::new();
         assert!(tab.conflict_core().is_none());
-        assert!(tab.minimal_infeasible_subsystem().is_err());
         tab.push_constraint(&c(Formula::le(Term::var("x"), Term::int(1)))).unwrap();
         assert!(tab.check().unwrap());
         assert!(tab.conflict_core().is_none());

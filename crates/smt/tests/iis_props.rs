@@ -1,16 +1,18 @@
-//! Property test for irreducible-infeasible-subsystem (IIS) extraction:
-//! on every random infeasible system, the subsystem named by
-//! `IncrementalSimplex::minimal_infeasible_subsystem` must itself be
-//! infeasible, and dropping *any* single row of it must make the remainder
-//! satisfiable (irreducibility — the defining property of a minimal Farkas
-//! conflict).  It must also be exactly the core of the textbook deletion
-//! filter that re-solves `kept ∪ support[i+1..]` from scratch for each
-//! support row `i`, at a cost of one warm check per support row.
+//! Property test for conflict cores: after every failed check of a random
+//! incremental session, `IncrementalSimplex::conflict_core` must already be
+//! an irreducible infeasible subsystem (IIS, a minimal Farkas conflict).
+//! The named rows must be infeasible, dropping *any* single one of them
+//! must make the remainder satisfiable, and the core must equal the one the
+//! textbook deletion filter returns when it re-solves `kept ∪ support[i+1..]`
+//! from scratch for each support row `i` — so the filter has nothing left
+//! to drop.
+//!
+//! Sessions interleave random pushes, `pop_to`s and checks before the final
+//! batch of rows is pushed and checked, so cores are also read off tableaux
+//! whose basis was pivoted by earlier checks and restored by pops.
 
 use pathinv_ir::{Symbol, VarRef};
-use pathinv_smt::{
-    lra_solve, stats_snapshot, ConstrOp, IncrementalSimplex, LinConstraint, LinExpr, Rat,
-};
+use pathinv_smt::{lra_solve, ConstrOp, IncrementalSimplex, LinConstraint, LinExpr, Rat};
 use proptest::prelude::*;
 
 const VARS: [&str; 3] = ["x", "y", "z"];
@@ -33,6 +35,23 @@ fn constraint_strategy() -> impl Strategy<Value = LinConstraint<VarRef>> {
     })
 }
 
+/// One step of the random session run before the final batch.
+#[derive(Clone, Debug)]
+enum Op {
+    Push(LinConstraint<VarRef>),
+    Check,
+    /// Pops to this checkpoint, clamped to the current one.
+    PopTo(usize),
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        constraint_strategy().prop_map(Op::Push),
+        Just(Op::Check),
+        (0usize..8).prop_map(Op::PopTo),
+    ]
+}
+
 /// The reference deletion filter: scans the certificate support in
 /// ascending order and drops a row when the kept rows plus the rows after it
 /// are still infeasible, each probe a fresh solve.
@@ -51,48 +70,57 @@ fn reference_deletion_filter(
     kept
 }
 
+/// Checks the tableau and, when the check fails, that its conflict core is
+/// an IIS of the active constraints.
+fn check_and_audit_core(tab: &mut IncrementalSimplex<VarRef>) -> Result<(), TestCaseError> {
+    let active = tab.active_constraints();
+    if tab.check().expect("small systems cannot overflow") {
+        prop_assert!(tab.conflict_core().is_none());
+        return Ok(());
+    }
+    let core = tab.conflict_core().expect("failed check pending");
+    prop_assert!(!core.is_empty());
+    prop_assert_eq!(&core, &reference_deletion_filter(&active, &core));
+    let sub: Vec<LinConstraint<VarRef>> = core.iter().map(|&i| active[i].clone()).collect();
+    prop_assert!(
+        !lra_solve(&sub).expect("small systems cannot overflow").is_sat(),
+        "the core must be infeasible: {core:?} of {active:?}"
+    );
+    for drop in 0..sub.len() {
+        let mut reduced = sub.clone();
+        reduced.remove(drop);
+        prop_assert!(
+            lra_solve(&reduced).expect("small systems cannot overflow").is_sat(),
+            "dropping row {drop} of the core must make it satisfiable: {core:?} of {active:?}"
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// IIS extraction returns an infeasible, irreducible subsystem of every
-    /// infeasible input system (satisfiable inputs are skipped — there is
-    /// no conflict to extract): the reference filter's core, found with one
-    /// warm check per support row and no cold build.
+    /// Every failed check's conflict core is infeasible, irreducible, and
+    /// exactly the reference deletion filter's core (satisfiable checks
+    /// have no core to audit).
     #[test]
     fn iis_is_infeasible_and_irreducible(
+        session in proptest::collection::vec(op_strategy(), 0..10),
         constraints in proptest::collection::vec(constraint_strategy(), 2..12)
     ) {
         let mut tab = IncrementalSimplex::new();
+        for op in session {
+            match op {
+                Op::Push(c) => tab.push_constraint(&c).expect("small systems cannot overflow"),
+                Op::Check => check_and_audit_core(&mut tab)?,
+                Op::PopTo(n) => {
+                    tab.pop_to(n.min(tab.checkpoint())).expect("small systems cannot overflow");
+                }
+            }
+        }
         for c in &constraints {
             tab.push_constraint(c).expect("small systems cannot overflow");
         }
-        if tab.check().expect("small systems cannot overflow") {
-            // Satisfiable: nothing to extract.
-            prop_assert!(tab.conflict_core().is_none());
-            return Ok(());
-        }
-        let support = tab.conflict_core().expect("failed check pending");
-        let before = stats_snapshot();
-        let core = tab.minimal_infeasible_subsystem().expect("failed check pending");
-        let work = stats_snapshot().since(&before);
-        prop_assert!(!core.is_empty());
-        prop_assert_eq!(&core, &reference_deletion_filter(&constraints, &support));
-        prop_assert_eq!(work.simplex_warm_checks, support.len() as u64);
-        prop_assert_eq!(work.simplex_calls, 0);
-        let sub: Vec<LinConstraint<VarRef>> =
-            core.iter().map(|&i| constraints[i].clone()).collect();
-        prop_assert!(
-            !lra_solve(&sub).expect("small systems cannot overflow").is_sat(),
-            "IIS must be infeasible: {core:?} of {constraints:?}"
-        );
-        for drop in 0..sub.len() {
-            let mut reduced = sub.clone();
-            reduced.remove(drop);
-            prop_assert!(
-                lra_solve(&reduced).expect("small systems cannot overflow").is_sat(),
-                "dropping row {drop} of the IIS must make it satisfiable: \
-                 {core:?} of {constraints:?}"
-            );
-        }
+        check_and_audit_core(&mut tab)?;
     }
 }
