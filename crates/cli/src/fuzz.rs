@@ -34,10 +34,12 @@ use pathinv_bench::generator::{
     generate_campaign, realize, Expected, GeneratedProgram, Realized, Scenario,
 };
 use pathinv_check::{check_certificate, decode_model, Certificate, CheckLimits};
-use pathinv_core::{BmcConfig, CegarConfig, PdrConfig, Verdict};
+use pathinv_core::{
+    run_job, BmcConfig, CancellationToken, CegarConfig, JobOutcome, JobSpec, PdrConfig,
+};
 use pathinv_ir::exec::replay;
 use pathinv_ir::{path_formula, Path, Program};
-use pathinv_smt::{enforce_deadline, IntSatResult, Solver};
+use pathinv_smt::{IntSatResult, Solver};
 use proptest::shrink::minimize;
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -65,7 +67,7 @@ pub struct FuzzOptions {
     /// conclusive verdict without a valid certificate becomes a finding.
     pub certify: bool,
     /// Per-engine-run wall-clock deadline (`--timeout-ms`), enforced by the
-    /// watchdog through each run's [`CancellationToken`](pathinv_core::CancellationToken).  A run that
+    /// watchdog through each run's [`CancellationToken`].  A run that
     /// exceeds it returns the honest `cancelled` — a no-opinion outcome that
     /// can never produce (or mask) a finding.
     pub timeout_ms: Option<u64>,
@@ -188,30 +190,6 @@ pub struct FuzzReport {
     pub findings: Vec<Finding>,
 }
 
-/// How one engine's verdict is summarized for cross-checking.
-#[derive(Clone, Debug)]
-enum EngineVerdict {
-    Safe,
-    Unsafe(Path),
-    Unknown(#[allow(dead_code)] String),
-    /// The run's `--timeout-ms` deadline expired.  Strictly no-opinion:
-    /// never a finding, never evidence for or against any other verdict.
-    Cancelled,
-    Error(String),
-}
-
-impl EngineVerdict {
-    fn word(&self) -> &'static str {
-        match self {
-            EngineVerdict::Safe => "safe",
-            EngineVerdict::Unsafe(_) => "unsafe",
-            EngineVerdict::Unknown(_) => "unknown",
-            EngineVerdict::Cancelled => "cancelled",
-            EngineVerdict::Error(_) => "error",
-        }
-    }
-}
-
 /// The fixed engine portfolio every generated program runs through.
 fn portfolio() -> Vec<TaskEngine> {
     vec![
@@ -229,42 +207,17 @@ fn engine_label(engine: &TaskEngine) -> String {
     }
 }
 
-fn run_engine(
-    engine: &TaskEngine,
-    program: &Program,
-    timeout_ms: Option<u64>,
-) -> (EngineVerdict, Option<Certificate>) {
-    let built = engine.build();
-    let token = pathinv_core::CancellationToken::new();
-    let _guard =
-        timeout_ms.map(|ms| enforce_deadline(&token, std::time::Duration::from_millis(ms)));
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        built.verify_with_cancel(program, &token)
-    })) {
-        Ok(Ok(result)) => {
-            let verdict = match result.verdict {
-                Verdict::Safe => EngineVerdict::Safe,
-                Verdict::Unsafe { path } => EngineVerdict::Unsafe(path),
-                Verdict::Unknown { reason } => EngineVerdict::Unknown(reason),
-                // With a deadline configured this is the watchdog having
-                // fired; without one no engine may return it, and it is
-                // treated as an error so it can never masquerade as a real
-                // verdict.
-                Verdict::Cancelled if timeout_ms.is_some() => EngineVerdict::Cancelled,
-                Verdict::Cancelled => EngineVerdict::Error("cancelled without a token".to_string()),
-            };
-            (verdict, result.certificate)
-        }
-        Ok(Err(e)) => (EngineVerdict::Error(e.to_string()), None),
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| panic.downcast_ref::<&str>().copied())
-                .unwrap_or("panic");
-            (EngineVerdict::Error(format!("panicked: {msg}")), None)
-        }
+/// Runs one engine on `program` through the shared job path.  Without a
+/// deadline no engine may return `cancelled`, so that outcome is rewritten
+/// to an engine error: it can never masquerade as the no-opinion verdict.
+fn run_engine(engine: &TaskEngine, program: &Program, timeout_ms: Option<u64>) -> JobOutcome {
+    let spec = JobSpec::with_timeout_ms(engine.clone(), timeout_ms);
+    let mut outcome = run_job(&spec, program, &CancellationToken::new());
+    if outcome.verdict == "cancelled" && timeout_ms.is_none() {
+        outcome.verdict = "error".to_string();
+        outcome.detail = "cancelled without a token".to_string();
     }
+    outcome
 }
 
 /// Validates one engine counterexample end-to-end: integral satisfiability
@@ -364,17 +317,17 @@ struct CheckCounts {
 fn audit_engine_certificate(
     p: &GeneratedProgram,
     label: &str,
-    verdict: &EngineVerdict,
+    verdict: &str,
     certificate: Option<&Certificate>,
     findings: &mut Vec<Finding>,
 ) {
-    let conclusive = matches!(verdict, EngineVerdict::Safe | EngineVerdict::Unsafe(_));
+    let conclusive = matches!(verdict, "safe" | "unsafe");
     let Some(cert) = certificate else {
         if conclusive {
             findings.push(p.finding(
                 FindingKind::CertificateMissing,
                 label,
-                format!("{label} concluded {} without emitting a certificate", verdict.word()),
+                format!("{label} concluded {verdict} without emitting a certificate"),
             ));
         }
         return;
@@ -383,22 +336,17 @@ fn audit_engine_certificate(
         findings.push(p.finding(
             FindingKind::CertificateRejected,
             label,
-            format!(
-                "{label} attached a {} certificate to a {} verdict",
-                cert.kind(),
-                verdict.word()
-            ),
+            format!("{label} attached a {} certificate to a {verdict} verdict", cert.kind()),
         ));
         return;
     }
-    if cert.claims_safety() != matches!(verdict, EngineVerdict::Safe) {
+    if cert.claims_safety() != (verdict == "safe") {
         findings.push(p.finding(
             FindingKind::CertificateRejected,
             label,
             format!(
-                "{label} attached a {} certificate to a {} verdict (polarity mismatch)",
-                cert.kind(),
-                verdict.word()
+                "{label} attached a {} certificate to a {verdict} verdict (polarity mismatch)",
+                cert.kind()
             ),
         ));
         return;
@@ -442,34 +390,44 @@ fn check_program(
     }
 
     let engines = portfolio();
-    let verdicts: Vec<(String, EngineVerdict, Option<Certificate>)> = engines
+    let verdicts: Vec<(String, JobOutcome)> = engines
         .iter()
         .map(|e| {
             counts.engine_runs += 1;
-            let (verdict, certificate) = run_engine(e, &p.program, timeout_ms);
-            (engine_label(e), verdict, certificate)
+            (engine_label(e), run_engine(e, &p.program, timeout_ms))
         })
         .collect();
 
     if certify {
-        for (label, v, cert) in &verdicts {
+        for (label, o) in &verdicts {
             counts.certs_audited += 1;
-            audit_engine_certificate(p, label, v, cert.as_ref(), &mut findings);
+            audit_engine_certificate(p, label, &o.verdict, o.certificate.as_ref(), &mut findings);
         }
     }
 
-    for (label, v, _) in &verdicts {
-        match v {
-            EngineVerdict::Error(msg) => {
+    for (label, o) in &verdicts {
+        match o.verdict.as_str() {
+            "error" => {
                 findings.push(p.finding(
                     FindingKind::EngineError,
                     label,
-                    format!("engine failed on a generated-valid program: {msg}"),
+                    format!("engine failed on a generated-valid program: {}", o.detail),
                 ));
             }
-            EngineVerdict::Unsafe(path) => {
+            "unsafe" => {
+                // Every engine attaches its counterexample as a trace
+                // certificate; its steps are the path the verdict claims.
+                let Some(Certificate::Trace(trace)) = &o.certificate else {
+                    findings.push(p.finding(
+                        FindingKind::EngineError,
+                        label,
+                        format!("{label} reported unsafe without a counterexample trace"),
+                    ));
+                    continue;
+                };
+                let path = Path::new_unchecked(trace.steps.clone());
                 counts.cexes_validated += 1;
-                validate_cex(p, label, path, &mut findings);
+                validate_cex(p, label, &path, &mut findings);
                 if p.expected == Expected::Safe {
                     findings.push(p.finding(
                         FindingKind::ExpectedSafeViolated,
@@ -482,7 +440,7 @@ fn check_program(
                     ));
                 }
             }
-            EngineVerdict::Safe => {
+            "safe" => {
                 if let Expected::Unsafe(w) = &p.expected {
                     findings.push(p.finding(
                         FindingKind::ExpectedUnsafeViolated,
@@ -495,18 +453,18 @@ fn check_program(
                     ));
                 }
             }
-            EngineVerdict::Unknown(_) | EngineVerdict::Cancelled => {}
+            _ => {}
         }
     }
 
     // Engine-vs-engine: any safe verdict alongside any unsafe verdict.
-    let safe_engine = verdicts.iter().find(|(_, v, _)| matches!(v, EngineVerdict::Safe));
-    let unsafe_engine = verdicts.iter().find(|(_, v, _)| matches!(v, EngineVerdict::Unsafe(_)));
-    if let (Some((sl, _, _)), Some((ul, uv, _))) = (safe_engine, unsafe_engine) {
+    let safe_engine = verdicts.iter().find(|(_, o)| o.verdict == "safe");
+    let unsafe_engine = verdicts.iter().find(|(_, o)| o.verdict == "unsafe");
+    if let (Some((sl, _)), Some((ul, _))) = (safe_engine, unsafe_engine) {
         findings.push(p.finding(
             FindingKind::EngineDisagreement,
             &format!("{sl} vs {ul}"),
-            format!("{sl} proved the program safe while {ul} reported {}", uv.word()),
+            format!("{sl} proved the program safe while {ul} reported unsafe"),
         ));
     }
 
@@ -515,21 +473,17 @@ fn check_program(
         let mut uncached_config = CegarConfig::path_invariants();
         uncached_config.caching = false;
         counts.engine_runs += 1;
-        let cached = &verdicts[0].1;
-        let (uncached, _) = run_engine(&TaskEngine::Cegar(uncached_config), &p.program, timeout_ms);
+        let cached = &verdicts[0].1.verdict;
+        let uncached =
+            run_engine(&TaskEngine::Cegar(uncached_config), &p.program, timeout_ms).verdict;
         // A deadline firing on one side but not the other says nothing about
         // cache parity — cancelled is no-opinion on both sides.
-        let either_cancelled = matches!(cached, EngineVerdict::Cancelled)
-            || matches!(uncached, EngineVerdict::Cancelled);
-        if !either_cancelled && cached.word() != uncached.word() {
+        let either_cancelled = cached == "cancelled" || uncached == "cancelled";
+        if !either_cancelled && *cached != uncached {
             findings.push(p.finding(
                 FindingKind::CacheParity,
                 "cegar/path-invariants",
-                format!(
-                    "cached and uncached runs disagree: {} vs {}",
-                    cached.word(),
-                    uncached.word()
-                ),
+                format!("cached and uncached runs disagree: {cached} vs {uncached}"),
             ));
         }
     }

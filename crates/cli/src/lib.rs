@@ -94,17 +94,6 @@ impl BatchTask {
         }
     }
 
-    /// Sets the parallel-beam worker count on CEGAR tasks
-    /// (`--beam-workers`).  The parallel beam merges deterministically, so
-    /// verdicts, invariants, and golden counters are unchanged at any
-    /// worker count; only wall-clock (and the non-golden work counters of
-    /// synthesis) can differ.  A no-op for BMC and PDR.
-    pub fn set_beam_workers(&mut self, workers: usize) {
-        if let TaskEngine::Cegar(config) = &mut self.engine {
-            config.synth_workers = workers.max(1);
-        }
-    }
-
     /// The [`pathinv_core::JobSpec`] this task executes (engine plus
     /// deadline) — the same spec shape the service daemon runs.
     pub fn job_spec(&self) -> pathinv_core::JobSpec {

@@ -12,6 +12,7 @@ use pathinv_cli::{
     corpus_programs, load_pinv_file, make_tasks, run_batch, EngineChoice, RefinerChoice,
 };
 use std::process::ExitCode;
+use std::str::FromStr;
 
 const USAGE: &str = "\
 pathinv-cli — batch verification over the Path Invariants corpus
@@ -116,10 +117,6 @@ OPTIONS:
     --refiner <WHICH>      path-invariants | path-predicates | both
                            (default: both; applies to cegar tasks)
     --max-refinements <N>  override the refinement bound for cegar tasks
-    --beam-workers <N>     worker threads for the invariant-synthesis beam
-                           on cegar tasks (default: 1); results are
-                           byte-identical at any count, only wall-clock
-                           changes
     --jobs <N>             worker threads (default: available parallelism)
     --timeout-ms <N>       per-task wall-clock deadline, enforced by the
                            watchdog through each task's cancellation token;
@@ -155,7 +152,6 @@ struct Options {
     engines: EngineChoice,
     choice: RefinerChoice,
     max_refinements: Option<usize>,
-    beam_workers: Option<usize>,
     race: bool,
     certify: bool,
     timeout_ms: Option<u64>,
@@ -170,6 +166,53 @@ fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
+/// A command line, consumed argument by argument.
+struct Args<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Args<'a> {
+    fn next_arg(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The value following `flag`.
+    fn value(&mut self, flag: &str) -> Result<String, String> {
+        self.0.next().cloned().ok_or_else(|| format!("{flag} requires a value"))
+    }
+
+    /// The value following `flag`, parsed.
+    fn parse<T: FromStr>(&mut self, flag: &str) -> Result<T, String> {
+        let v = self.value(flag)?;
+        v.parse().map_err(|_| format!("bad {flag} `{v}`"))
+    }
+
+    /// The value following `flag`, parsed as a count of at least 1.
+    fn positive<T: FromStr + PartialEq + From<u8>>(&mut self, flag: &str) -> Result<T, String> {
+        let n = self.parse(flag)?;
+        if n == T::from(0) {
+            return Err(format!("{flag} must be at least 1"));
+        }
+        Ok(n)
+    }
+}
+
+/// Reports a usage error: the message, then the usage text; exit status 2.
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("error: {msg}\n\n{USAGE}");
+    ExitCode::from(2)
+}
+
+/// Writes `text` to `path` (`-` = stdout); on failure reports the error
+/// and returns `false`.
+fn write_output(path: &str, text: &str) -> bool {
+    if path == "-" {
+        print!("{text}");
+    } else if let Err(e) = std::fs::write(path, text) {
+        eprintln!("error: cannot write {path}: {e}");
+        return false;
+    }
+    true
+}
+
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         all: false,
@@ -177,7 +220,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         engines: EngineChoice::Cegar,
         choice: RefinerChoice::Both,
         max_refinements: None,
-        beam_workers: None,
         race: false,
         certify: false,
         timeout_ms: None,
@@ -189,15 +231,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     };
     let mut engine_set = false;
     let mut refiner_set = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_for =
-            |flag: &str| it.next().cloned().ok_or_else(|| format!("{flag} requires a value"));
-        match arg.as_str() {
+    let mut args = Args(args.iter());
+    while let Some(arg) = args.next_arg() {
+        match arg {
             "--all" => opts.all = true,
             "--quiet" => opts.quiet = true,
             "--engine" => {
-                opts.engines = match value_for("--engine")?.as_str() {
+                opts.engines = match args.value(arg)?.as_str() {
                     "cegar" => EngineChoice::Cegar,
                     "bmc" => EngineChoice::Bmc,
                     "pdr" => EngineChoice::Pdr,
@@ -207,7 +247,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 engine_set = true;
             }
             "--refiner" => {
-                opts.choice = match value_for("--refiner")?.as_str() {
+                opts.choice = match args.value(arg)?.as_str() {
                     "path-invariants" => RefinerChoice::PathInvariants,
                     "path-predicates" => RefinerChoice::PathPredicates,
                     "both" => RefinerChoice::Both,
@@ -215,39 +255,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 };
                 refiner_set = true;
             }
-            "--max-refinements" => {
-                let v = value_for("--max-refinements")?;
-                opts.max_refinements =
-                    Some(v.parse().map_err(|_| format!("bad --max-refinements `{v}`"))?);
-            }
-            "--beam-workers" => {
-                let v = value_for("--beam-workers")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --beam-workers `{v}`"))?;
-                if n == 0 {
-                    return Err("--beam-workers must be at least 1".to_string());
-                }
-                opts.beam_workers = Some(n);
-            }
+            "--max-refinements" => opts.max_refinements = Some(args.parse(arg)?),
             "--race" => opts.race = true,
             "--certify" => opts.certify = true,
-            "--timeout-ms" => {
-                let v = value_for("--timeout-ms")?;
-                let ms: u64 = v.parse().map_err(|_| format!("bad --timeout-ms `{v}`"))?;
-                if ms == 0 {
-                    return Err("--timeout-ms must be at least 1".to_string());
-                }
-                opts.timeout_ms = Some(ms);
-            }
-            "--jobs" => {
-                let v = value_for("--jobs")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --jobs `{v}`"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                opts.jobs = n;
-            }
-            "--json" => opts.json_path = Some(value_for("--json")?),
-            "--golden" => opts.golden_path = Some(value_for("--golden")?),
+            "--timeout-ms" => opts.timeout_ms = Some(args.positive(arg)?),
+            "--jobs" => opts.jobs = args.positive(arg)?,
+            "--json" => opts.json_path = Some(args.value(arg)?),
+            "--golden" => opts.golden_path = Some(args.value(arg)?),
             "--no-cache" => opts.no_cache = true,
             "--help" | "-h" => return Err(String::new()),
             other if other.starts_with('-') => {
@@ -265,9 +279,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         if refiner_set {
             return Err("--refiner only applies to cegar tasks".to_string());
         }
-        if opts.beam_workers.is_some() {
-            return Err("--beam-workers only applies to cegar tasks".to_string());
-        }
     }
     if opts.race {
         // A race always runs the whole default-configured portfolio; flags
@@ -275,7 +286,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         let conflicting = engine_set
             || refiner_set
             || opts.max_refinements.is_some()
-            || opts.beam_workers.is_some()
             || opts.no_cache
             || opts.golden_path.is_some();
         if conflicting {
@@ -303,11 +313,7 @@ fn race_main(
         print!("{}", report.render_table());
     }
     if let Some(path) = &opts.json_path {
-        let text = report.to_json().pretty();
-        if path == "-" {
-            print!("{text}");
-        } else if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: cannot write {path}: {e}");
+        if !write_output(path, &report.to_json().pretty()) {
             return ExitCode::FAILURE;
         }
     }
@@ -338,48 +344,18 @@ fn fuzz_main(args: &[String]) -> ExitCode {
     let mut json_path: Option<String> = None;
     let mut reproducer_dir: Option<String> = None;
     let mut quiet = false;
-    let mut it = args.iter();
+    let mut args = Args(args.iter());
     let mut parse = || -> Result<(), String> {
-        while let Some(arg) = it.next() {
-            let mut value_for =
-                |flag: &str| it.next().cloned().ok_or_else(|| format!("{flag} requires a value"));
-            match arg.as_str() {
-                "--seed" => {
-                    let v = value_for("--seed")?;
-                    opts.seed = v.parse().map_err(|_| format!("bad --seed `{v}`"))?;
-                }
-                "--count" => {
-                    let v = value_for("--count")?;
-                    opts.count = v.parse().map_err(|_| format!("bad --count `{v}`"))?;
-                }
-                "--jobs" => {
-                    let v = value_for("--jobs")?;
-                    let n: usize = v.parse().map_err(|_| format!("bad --jobs `{v}`"))?;
-                    if n == 0 {
-                        return Err("--jobs must be at least 1".to_string());
-                    }
-                    opts.jobs = n;
-                }
-                "--cache-sample" => {
-                    let v = value_for("--cache-sample")?;
-                    opts.cache_sample =
-                        v.parse().map_err(|_| format!("bad --cache-sample `{v}`"))?;
-                }
-                "--shrink-budget" => {
-                    let v = value_for("--shrink-budget")?;
-                    opts.shrink_budget =
-                        v.parse().map_err(|_| format!("bad --shrink-budget `{v}`"))?;
-                }
-                "--timeout-ms" => {
-                    let v = value_for("--timeout-ms")?;
-                    let ms: u64 = v.parse().map_err(|_| format!("bad --timeout-ms `{v}`"))?;
-                    if ms == 0 {
-                        return Err("--timeout-ms must be at least 1".to_string());
-                    }
-                    opts.timeout_ms = Some(ms);
-                }
-                "--json" => json_path = Some(value_for("--json")?),
-                "--reproducers" => reproducer_dir = Some(value_for("--reproducers")?),
+        while let Some(arg) = args.next_arg() {
+            match arg {
+                "--seed" => opts.seed = args.parse(arg)?,
+                "--count" => opts.count = args.parse(arg)?,
+                "--jobs" => opts.jobs = args.positive(arg)?,
+                "--cache-sample" => opts.cache_sample = args.parse(arg)?,
+                "--shrink-budget" => opts.shrink_budget = args.parse(arg)?,
+                "--timeout-ms" => opts.timeout_ms = Some(args.positive(arg)?),
+                "--json" => json_path = Some(args.value(arg)?),
+                "--reproducers" => reproducer_dir = Some(args.value(arg)?),
                 "--certify" => opts.certify = true,
                 "--quiet" => quiet = true,
                 other => return Err(format!("unknown fuzz option `{other}`")),
@@ -388,19 +364,14 @@ fn fuzz_main(args: &[String]) -> ExitCode {
         Ok(())
     };
     if let Err(msg) = parse() {
-        eprintln!("error: {msg}\n\n{USAGE}");
-        return ExitCode::from(2);
+        return usage_error(&msg);
     }
     let report = pathinv_cli::fuzz::run_fuzz(&opts);
     if !quiet {
         print!("{}", report.render_summary());
     }
     if let Some(path) = &json_path {
-        let text = report.to_json().pretty();
-        if path == "-" {
-            print!("{text}");
-        } else if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: cannot write {path}: {e}");
+        if !write_output(path, &report.to_json().pretty()) {
             return ExitCode::FAILURE;
         }
     }
@@ -433,87 +404,30 @@ fn fuzz_main(args: &[String]) -> ExitCode {
 /// The `serve` subcommand: parse the daemon flags and run until drained.
 fn serve_main(args: &[String]) -> ExitCode {
     let mut config = pathinv_cli::serve::ServeConfig::default();
-    let mut it = args.iter();
+    let mut args = Args(args.iter());
     let mut parse = || -> Result<(), String> {
-        while let Some(arg) = it.next() {
-            let mut value_for =
-                |flag: &str| it.next().cloned().ok_or_else(|| format!("{flag} requires a value"));
-            match arg.as_str() {
-                "--socket" => config.socket = Some(value_for("--socket")?.into()),
-                "--cache" => config.cache_path = Some(value_for("--cache")?.into()),
-                "--workers" => {
-                    let v = value_for("--workers")?;
-                    let n: usize = v.parse().map_err(|_| format!("bad --workers `{v}`"))?;
-                    if n == 0 {
-                        return Err("--workers must be at least 1".to_string());
-                    }
-                    config.workers = n;
-                }
-                "--queue" => {
-                    let v = value_for("--queue")?;
-                    let n: usize = v.parse().map_err(|_| format!("bad --queue `{v}`"))?;
-                    if n == 0 {
-                        return Err("--queue must be at least 1".to_string());
-                    }
-                    config.queue_capacity = n;
-                }
-                "--timeout-ms" => {
-                    let v = value_for("--timeout-ms")?;
-                    let ms: u64 = v.parse().map_err(|_| format!("bad --timeout-ms `{v}`"))?;
-                    if ms == 0 {
-                        return Err("--timeout-ms must be at least 1".to_string());
-                    }
-                    config.default_timeout_ms = Some(ms);
-                }
-                "--drain-grace-ms" => {
-                    let v = value_for("--drain-grace-ms")?;
-                    config.drain_grace_ms =
-                        v.parse().map_err(|_| format!("bad --drain-grace-ms `{v}`"))?;
-                }
+        while let Some(arg) = args.next_arg() {
+            match arg {
+                "--socket" => config.socket = Some(args.value(arg)?.into()),
+                "--cache" => config.cache_path = Some(args.value(arg)?.into()),
+                "--workers" => config.workers = args.positive(arg)?,
+                "--queue" => config.queue_capacity = args.positive(arg)?,
+                "--timeout-ms" => config.default_timeout_ms = Some(args.positive(arg)?),
+                "--drain-grace-ms" => config.drain_grace_ms = args.parse(arg)?,
                 "--isolate" => {
-                    config.isolation = match value_for("--isolate")?.as_str() {
+                    config.isolation = match args.value(arg)?.as_str() {
                         "thread" => pathinv_cli::serve::IsolationMode::Thread,
                         "process" => pathinv_cli::serve::IsolationMode::Process,
                         other => return Err(format!("unknown --isolate mode `{other}`")),
                     };
                 }
-                "--retries" => {
-                    let v = value_for("--retries")?;
-                    config.max_retries = v.parse().map_err(|_| format!("bad --retries `{v}`"))?;
-                }
-                "--retry-backoff-ms" => {
-                    let v = value_for("--retry-backoff-ms")?;
-                    let ms: u64 = v.parse().map_err(|_| format!("bad --retry-backoff-ms `{v}`"))?;
-                    if ms == 0 {
-                        return Err("--retry-backoff-ms must be at least 1".to_string());
-                    }
-                    config.retry_backoff_ms = ms;
-                }
-                "--breaker-threshold" => {
-                    let v = value_for("--breaker-threshold")?;
-                    config.breaker_threshold =
-                        v.parse().map_err(|_| format!("bad --breaker-threshold `{v}`"))?;
-                }
-                "--breaker-cooldown-ms" => {
-                    let v = value_for("--breaker-cooldown-ms")?;
-                    let ms: u64 =
-                        v.parse().map_err(|_| format!("bad --breaker-cooldown-ms `{v}`"))?;
-                    if ms == 0 {
-                        return Err("--breaker-cooldown-ms must be at least 1".to_string());
-                    }
-                    config.breaker_cooldown_ms = ms;
-                }
-                "--cache-compact-bytes" => {
-                    let v = value_for("--cache-compact-bytes")?;
-                    let bytes: u64 =
-                        v.parse().map_err(|_| format!("bad --cache-compact-bytes `{v}`"))?;
-                    if bytes == 0 {
-                        return Err("--cache-compact-bytes must be at least 1".to_string());
-                    }
-                    config.cache_compact_bytes = Some(bytes);
-                }
+                "--retries" => config.max_retries = args.parse(arg)?,
+                "--retry-backoff-ms" => config.retry_backoff_ms = args.positive(arg)?,
+                "--breaker-threshold" => config.breaker_threshold = args.parse(arg)?,
+                "--breaker-cooldown-ms" => config.breaker_cooldown_ms = args.positive(arg)?,
+                "--cache-compact-bytes" => config.cache_compact_bytes = Some(args.positive(arg)?),
                 "--chaos" => {
-                    let v = value_for("--chaos")?;
+                    let v = args.value(arg)?;
                     let seed = v
                         .strip_prefix("seed=")
                         .and_then(|s| s.parse().ok())
@@ -526,8 +440,7 @@ fn serve_main(args: &[String]) -> ExitCode {
         Ok(())
     };
     if let Err(msg) = parse() {
-        eprintln!("error: {msg}\n\n{USAGE}");
-        return ExitCode::from(2);
+        return usage_error(&msg);
     }
     match pathinv_cli::serve::run_serve(&config) {
         Ok(0) => ExitCode::SUCCESS,
@@ -542,25 +455,19 @@ fn serve_main(args: &[String]) -> ExitCode {
 /// The `serve-smoke` subcommand: the two-phase daemon harness.
 fn serve_smoke_main(args: &[String]) -> ExitCode {
     let (mut seed, mut json_path) = (42, None);
-    let mut it = args.iter();
+    let mut args = Args(args.iter());
     let mut parse = || -> Result<(), String> {
-        while let Some(arg) = it.next() {
-            let mut value_for =
-                |flag: &str| it.next().cloned().ok_or_else(|| format!("{flag} requires a value"));
-            match arg.as_str() {
-                "--seed" => {
-                    let v = value_for("--seed")?;
-                    seed = v.parse().map_err(|_| format!("bad --seed `{v}`"))?;
-                }
-                "--json" => json_path = Some(value_for("--json")?),
+        while let Some(arg) = args.next_arg() {
+            match arg {
+                "--seed" => seed = args.parse(arg)?,
+                "--json" => json_path = Some(args.value(arg)?),
                 other => return Err(format!("unknown serve-smoke option `{other}`")),
             }
         }
         Ok(())
     };
     if let Err(msg) = parse() {
-        eprintln!("error: {msg}\n\n{USAGE}");
-        return ExitCode::from(2);
+        return usage_error(&msg);
     }
     let report = match pathinv_cli::smoke::run_serve_smoke(seed) {
         Ok(report) => report,
@@ -569,12 +476,8 @@ fn serve_smoke_main(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(path) = json_path {
-        let text = report.to_json().pretty();
-        if path == "-" {
-            print!("{text}");
-        } else if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("error: cannot write {path}: {e}");
+    if let Some(path) = &json_path {
+        if !write_output(path, &report.to_json().pretty()) {
             return ExitCode::FAILURE;
         }
     }
@@ -595,14 +498,11 @@ fn main() -> ExitCode {
         // fall into the interactive argument parser.
         return ExitCode::from(pathinv_cli::isolate::run_one_job_main() as u8);
     }
-    if args.first().map(String::as_str) == Some("fuzz") {
-        return fuzz_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        return serve_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("serve-smoke") {
-        return serve_smoke_main(&args[1..]);
+    match args.first().map(String::as_str) {
+        Some("fuzz") => return fuzz_main(&args[1..]),
+        Some("serve") => return serve_main(&args[1..]),
+        Some("serve-smoke") => return serve_smoke_main(&args[1..]),
+        _ => {}
     }
     let opts = match parse_args(&args) {
         Ok(opts) => opts,
@@ -611,8 +511,7 @@ fn main() -> ExitCode {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
-            eprintln!("error: {msg}\n\n{USAGE}");
-            return ExitCode::from(2);
+            return usage_error(&msg);
         }
     };
 
@@ -655,11 +554,6 @@ fn main() -> ExitCode {
             t.disable_cegar_caching();
         }
     }
-    if let Some(workers) = opts.beam_workers {
-        for t in &mut tasks {
-            t.set_beam_workers(workers);
-        }
-    }
     let report = run_batch(tasks, opts.jobs);
     let differential = opts.engines.is_portfolio().then(|| DifferentialReport::from_batch(&report));
 
@@ -674,11 +568,7 @@ fn main() -> ExitCode {
         if let (Some(diff), pathinv_cli::json::Json::Object(fields)) = (&differential, &mut doc) {
             fields.push(("differential".to_string(), diff.to_json()));
         }
-        let text = doc.pretty();
-        if path == "-" {
-            print!("{text}");
-        } else if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: cannot write {path}: {e}");
+        if !write_output(path, &doc.pretty()) {
             return ExitCode::FAILURE;
         }
     }
@@ -713,11 +603,7 @@ fn main() -> ExitCode {
         // A golden pins whatever the run produced, so a failing run must
         // not overwrite the committed one.
         if passed {
-            let text = report.to_golden_json().pretty();
-            if path == "-" {
-                print!("{text}");
-            } else if let Err(e) = std::fs::write(path, text) {
-                eprintln!("error: cannot write {path}: {e}");
+            if !write_output(path, &report.to_golden_json().pretty()) {
                 return ExitCode::FAILURE;
             }
         } else {

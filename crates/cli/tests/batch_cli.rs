@@ -100,6 +100,7 @@ fn usage_errors_exit_two() {
     assert_eq!(run_cli(&["--engine", "pdr", "--refiner", "both", "x.pinv"]), 2);
     assert_eq!(run_cli(&[]), 2, "no inputs is a usage error");
     assert_eq!(run_cli(&["--bless"]), 2, "--golden is the only regeneration path");
+    assert_eq!(run_cli(&["--all", "--beam-workers", "2"]), 2, "the synthesis beam is sequential");
 }
 
 /// The portfolio cross-checks engines end-to-end through the real binary:

@@ -19,7 +19,7 @@ use crate::error::{CoreError, CoreResult};
 use crate::predabs::{AbstractPost, AbstractState, PostStats, PredicateMap};
 use crate::refine::{PathInvariantRefiner, PathPredicateRefiner, Refiner};
 use pathinv_check::{decode_model, Certificate, InvariantCert};
-use pathinv_invgen::{synth_stats_snapshot, SynthConfig, SynthCounters};
+use pathinv_invgen::{synth_stats_snapshot, SynthCounters};
 use pathinv_ir::{ssa, Formula, Loc, Path, Program, TransId};
 use pathinv_smt::{
     stats_snapshot, CancellationToken, ContextStats, IntSatResult, SmtStats, Solver, SolverContext,
@@ -63,12 +63,6 @@ pub struct CegarConfig {
     pub max_fallback_refinements: usize,
     /// Maximum number of ART nodes per reachability phase.
     pub max_art_nodes: usize,
-    /// Worker threads for the invariant-synthesis beam search (`1` = the
-    /// sequential search).  The parallel evaluator merges candidate results
-    /// in a deterministic order, so the synthesized invariants are
-    /// byte-identical at any worker count (DESIGN.md §12); only wall-clock
-    /// changes.  Ignored by the baseline path-predicate refiner.
-    pub synth_workers: usize,
     /// Whether the abstract post is memoized and solver queries are cached
     /// across the run (on by default).  Caching replays answers of the
     /// deterministic solver, so verdicts, refinement counts, and ART sizes
@@ -84,7 +78,6 @@ impl Default for CegarConfig {
             max_refinements: 40,
             max_fallback_refinements: 6,
             max_art_nodes: 20_000,
-            synth_workers: 1,
             caching: true,
         }
     }
@@ -336,12 +329,6 @@ impl Verifier {
             if self.config.caching { SolverContext::new() } else { SolverContext::uncached() };
         let refiner: Box<dyn Refiner> = match self.config.refiner {
             RefinerKind::PathPredicates => Box::new(PathPredicateRefiner::new()),
-            RefinerKind::PathInvariants if self.config.synth_workers > 1 => {
-                Box::new(PathInvariantRefiner::with_config(SynthConfig {
-                    parallel_workers: self.config.synth_workers,
-                    ..SynthConfig::default()
-                }))
-            }
             RefinerKind::PathInvariants => Box::new(PathInvariantRefiner::new()),
         };
 

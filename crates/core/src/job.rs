@@ -159,10 +159,8 @@ impl EngineSpec {
 
     /// The configuration fingerprint line folded into [`job_fingerprint`]:
     /// every field that can change a verdict or a deterministic counter.
-    /// Deliberately excluded: `synth_workers` (the parallel beam merges
-    /// deterministically — byte-identical invariants at any worker count)
-    /// and `caching` (caching replays the deterministic solver's answers),
-    /// both documented verdict-invariant on [`CegarConfig`].
+    /// Deliberately excluded: `caching` (caching replays the deterministic
+    /// solver's answers), documented verdict-invariant on [`CegarConfig`].
     fn config_fingerprint(&self) -> String {
         match self {
             EngineSpec::Cegar(c) => format!(
@@ -517,9 +515,8 @@ const FINGERPRINT_SCHEMA: &str = "pathinv-job-fingerprint v1";
 /// * **Name-independent** — the *program name* is deliberately excluded:
 ///   resubmitting the same source under a different job name must hit.
 /// * **Config-sensitive** — any change to a verdict-relevant engine knob
-///   (bounds, refiner) changes the key; verdict-invariant knobs
-///   (`synth_workers`, `caching`) do not (see
-///   `EngineSpec::config_fingerprint`).
+///   (bounds, refiner) changes the key; the verdict-invariant `caching`
+///   knob does not (see `EngineSpec::config_fingerprint`).
 pub fn job_fingerprint(program: &Program, engine: &EngineSpec) -> String {
     let mut canon = String::new();
     let _ = writeln!(canon, "{FINGERPRINT_SCHEMA}");
@@ -672,12 +669,11 @@ mod tests {
         let a = parse_program(BUG).unwrap();
         let base = CegarConfig::path_invariants();
         let mut tuned = base.clone();
-        tuned.synth_workers = 8;
         tuned.caching = false;
         assert_eq!(
             job_fingerprint(&a, &EngineSpec::Cegar(base)),
             job_fingerprint(&a, &EngineSpec::Cegar(tuned)),
-            "worker count and caching are documented verdict-invariant"
+            "caching is documented verdict-invariant"
         );
     }
 

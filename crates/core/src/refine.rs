@@ -14,8 +14,7 @@
 use crate::error::{CoreError, CoreResult};
 use crate::pathprog::path_program;
 use pathinv_invgen::{
-    GeneratedInvariants, InvgenError, InvgenResult, PathInvariantGenerator, SynthConfig,
-    TemplateAttempt,
+    GeneratedInvariants, InvgenError, InvgenResult, PathInvariantGenerator, TemplateAttempt,
 };
 use pathinv_ir::{
     ssa, Action, Formula, FormulaId, Loc, Path, Program, SeqId, Symbol, Term, TermId,
@@ -209,7 +208,6 @@ impl PathPredicateRefiner {
 /// [`pathinv_invgen::SynthCounters::memo_hits`].
 #[derive(Clone, Debug, Default)]
 pub struct PathInvariantRefiner {
-    config: Option<SynthConfig>,
     memo: RefCell<HashMap<SeqId, InvgenResult<GeneratedInvariants>>>,
 }
 
@@ -241,12 +239,6 @@ impl PathInvariantRefiner {
         PathInvariantRefiner::default()
     }
 
-    /// Creates the refiner with an explicit synthesis configuration (used by
-    /// the ablation benchmarks).
-    pub fn with_config(config: SynthConfig) -> PathInvariantRefiner {
-        PathInvariantRefiner { config: Some(config), memo: RefCell::new(HashMap::new()) }
-    }
-
     /// Generates invariants for the path program, replaying a memoized
     /// outcome when the same path program was synthesised earlier in this
     /// run.
@@ -256,11 +248,7 @@ impl PathInvariantRefiner {
             pathinv_invgen::stats::record_memo_hit();
             return cached.clone();
         }
-        let generator = match &self.config {
-            Some(c) => PathInvariantGenerator::with_config(c.clone()),
-            None => PathInvariantGenerator::new(),
-        };
-        let outcome = generator.generate(pp);
+        let outcome = PathInvariantGenerator::new().generate(pp);
         // A cancelled synthesis is not an outcome of the path program — a
         // later (uncancelled) run must not replay it from the memo.
         if !matches!(outcome, Err(InvgenError::Smt(SmtError::Cancelled))) {

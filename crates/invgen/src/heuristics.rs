@@ -47,20 +47,12 @@ pub struct GeneratedInvariants {
 /// Heuristic path-invariant generator: proposes templates, calls the
 /// constraint-based synthesiser, and refines the template on failure.
 #[derive(Clone, Debug, Default)]
-pub struct PathInvariantGenerator {
-    config: SynthConfig,
-}
+pub struct PathInvariantGenerator;
 
 impl PathInvariantGenerator {
     /// Creates a generator with the default search configuration.
     pub fn new() -> PathInvariantGenerator {
-        PathInvariantGenerator { config: SynthConfig::default() }
-    }
-
-    /// Creates a generator with an explicit search configuration (used by the
-    /// ablation benchmarks).
-    pub fn with_config(config: SynthConfig) -> PathInvariantGenerator {
-        PathInvariantGenerator { config }
+        PathInvariantGenerator
     }
 
     /// Generates invariants at the cut points of `program`.
@@ -121,9 +113,10 @@ impl PathInvariantGenerator {
             }
         };
 
+        let config = SynthConfig::default();
         for (description, templates) in proposals {
             let start = Instant::now();
-            match synthesize(program, &templates, &self.config) {
+            match synthesize(program, &templates, &config) {
                 Ok(result) => {
                     attempts.push(TemplateAttempt {
                         description,

@@ -90,20 +90,6 @@ pub(crate) fn record_branch_pruned() {
     bump(|s| s.branches_pruned += 1);
 }
 
-/// Folds a delta measured on another thread into this thread's counters.
-/// The parallel beam evaluator's workers record into their own thread-local
-/// counters; the coordinator folds the deltas back so a caller's
-/// [`snapshot`] delta around the whole synthesis stays accurate.
-pub(crate) fn add(delta: &SynthCounters) {
-    bump(|s| {
-        s.systems_solved += delta.systems_solved;
-        s.branches_explored += delta.branches_explored;
-        s.branches_pruned += delta.branches_pruned;
-        s.cores_learned += delta.cores_learned;
-        s.memo_hits += delta.memo_hits;
-    });
-}
-
 pub(crate) fn record_core_learned() {
     bump(|s| s.cores_learned += 1);
 }

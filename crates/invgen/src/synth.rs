@@ -54,7 +54,7 @@ use crate::template::{ParamId, ParamLin, ParamValuation, RowOp, Template, Templa
 use pathinv_ir::{Formula, Loc, Program, RelOp, Symbol, VarRef};
 use pathinv_smt::{ConstrOp, IncrementalSimplex, LinConstraint, LinExpr, Rat};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Unknowns of the generated linear constraint system.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -135,15 +135,6 @@ pub struct SynthConfig {
     /// them.  On by default; off is the purely enumerative frontier of the
     /// pre-conflict-driven pipeline.
     pub conflict_driven: bool,
-    /// Worker threads evaluating beam candidates (`1` = the sequential
-    /// search).  Candidates are evaluated in parallel waves and merged in
-    /// the sequential candidate order, so the surviving frontier — and with
-    /// it the synthesized invariants and valuation — is byte-identical at
-    /// any worker count (DESIGN.md §12).  Work *counters* (LP calls, pruned
-    /// branches) may differ: a worker can evaluate a candidate the
-    /// sequential search would have skipped via a core learned moments
-    /// earlier, or one the merge then drops at a frontier cap.
-    pub parallel_workers: usize,
 }
 
 impl Default for SynthConfig {
@@ -159,7 +150,6 @@ impl Default for SynthConfig {
             max_options_per_step: 6,
             presolve: true,
             conflict_driven: true,
-            parallel_workers: 1,
         }
     }
 }
@@ -193,11 +183,10 @@ pub struct SynthStats {
 /// Every candidate that reaches the tableau checks on a clone of its
 /// parent's tableau, and only a kept child copies the rest of the entry.
 /// Pushed rows are shared, not copied: the tableau's constraint
-/// expressions, `row_deps` and `seen_rows` hold `Arc`s (not `Rc`: the
-/// parallel beam hands entries to worker threads), and the tableau's rows
-/// are sparse.  The tableau clone copies the non-zero coefficients and the
-/// per-column vectors and bumps one reference count per pushed row; a kept
-/// child's copy bumps two more and copies the other bookkeeping.
+/// expressions, `row_deps` and `seen_rows` hold `Rc`s, and the tableau's
+/// rows are sparse.  The tableau clone copies the non-zero coefficients and
+/// the per-column vectors and bumps one reference count per pushed row; a
+/// kept child's copy bumps two more and copies the other bookkeeping.
 #[derive(Debug, Default)]
 struct FrontierEntry {
     /// Option index chosen per implication, in implication order.
@@ -209,9 +198,9 @@ struct FrontierEntry {
     /// resurface and are not recorded).
     subst: Vec<(Unknown, LinExpr<Unknown>, Deps)>,
     /// Decision dependencies of each pushed tableau row, in push order.
-    row_deps: Vec<Arc<Deps>>,
+    row_deps: Vec<Rc<Deps>>,
     /// Rows already pushed (cross-batch duplicates are skipped).
-    seen_rows: HashSet<Arc<LinConstraint<Unknown>>>,
+    seen_rows: HashSet<Rc<LinConstraint<Unknown>>>,
     /// Unknowns already appearing in pushed rows (they must never be
     /// eliminated: the pushed rows would keep referencing them).
     seen_vars: BTreeSet<Unknown>,
@@ -368,12 +357,9 @@ fn verification_conditions(
     Ok(implications)
 }
 
-/// Outcome of evaluating one `(parent, option)` candidate against a fixed
-/// core set.  The feasible child is a deterministic function of the parent
-/// entry and the option alone — cores and caps only decide whether the
-/// evaluation *runs*, never what it produces — which is what makes the
-/// parallel evaluator's ordered merge byte-identical to the sequential
-/// search (DESIGN.md §12).
+/// Outcome of evaluating one `(parent, option)` candidate against the
+/// cores learned so far; [`advance_frontier`] folds it into the next
+/// frontier and the counters.
 enum CandidateOutcome {
     /// Skipped by a learned conflict core (filter 1): the branch repeats an
     /// already-extracted minimal Farkas conflict.
@@ -391,7 +377,7 @@ enum CandidateOutcome {
 
 /// Runs one candidate through the three filters and (when they pass) the
 /// warm feasibility re-check.  Reads only `acc`, `option`, and `learned`;
-/// never mutates shared state — the caller merges the outcome.
+/// the caller merges the outcome.
 fn evaluate_candidate(
     acc: &FrontierEntry,
     option: &[LinConstraint<Unknown>],
@@ -468,9 +454,8 @@ fn evaluate_candidate(
     let witness = if witness_holds {
         acc.witness.clone()
     } else {
-        // Recorded before the check, exactly as the pre-parallel loop did,
-        // so an aborted run's thread-local counters still include the
-        // attempt.
+        // Recorded before the check, so an aborted run's thread-local
+        // counters still include the attempt.
         stats::record_system_solved();
         if !tableau.check()? {
             if !config.conflict_driven {
@@ -503,62 +488,11 @@ fn evaluate_candidate(
     child.decisions.push(opt_idx);
     child.subst.extend(new_elims);
     for (c, deps) in rows {
-        child.row_deps.push(Arc::new(deps));
+        child.row_deps.push(Rc::new(deps));
         child.seen_vars.extend(c.expr.vars());
-        child.seen_rows.insert(Arc::new(c));
+        child.seen_rows.insert(Rc::new(c));
     }
     Ok(CandidateOutcome::Feasible(Box::new(child), !witness_holds))
-}
-
-/// The frontier under construction for one implication, carried across its
-/// score tiers: the kept children in merge order, and how many of them each
-/// parent contributed.
-struct NextFrontier {
-    entries: Vec<FrontierEntry>,
-    kept_per_parent: Vec<usize>,
-}
-
-/// Folds one evaluated candidate into the next frontier, bumping the
-/// counters the way the sequential loop does and learning any conflict
-/// core the evaluation extracted.
-#[allow(clippy::too_many_arguments)]
-fn merge_outcome(
-    outcome: CandidateOutcome,
-    parent: usize,
-    opt: u32,
-    pos: u32,
-    parent_decisions: &[u32],
-    next: &mut NextFrontier,
-    learned: &mut LearnedCores,
-    config: &SynthConfig,
-    stats: &mut SynthStats,
-) {
-    match outcome {
-        CandidateOutcome::CoveredByCore => {
-            stats.branches_pruned += 1;
-            stats::record_branch_pruned();
-        }
-        CandidateOutcome::PresolveConflict(conflict_deps) => {
-            stats.branches_pruned += 1;
-            stats::record_branch_pruned();
-            if config.conflict_driven {
-                learn_core(learned, stats, &conflict_deps, parent_decisions, pos, opt);
-            }
-        }
-        CandidateOutcome::Feasible(child, used_lp) => {
-            if used_lp {
-                stats.lp_calls += 1;
-            }
-            next.entries.push(*child);
-            next.kept_per_parent[parent] += 1;
-        }
-        CandidateOutcome::Infeasible(core_deps) => {
-            stats.lp_calls += 1;
-            if let Some(deps) = core_deps {
-                learn_core(learned, stats, &deps, parent_decisions, pos, opt);
-            }
-        }
-    }
 }
 
 /// Advances the frontier across one implication.  The conflict cores it
@@ -579,198 +513,61 @@ fn advance_frontier(
     config: &SynthConfig,
     stats: &mut SynthStats,
 ) -> InvgenResult<Vec<FrontierEntry>> {
-    let mut next = NextFrontier { entries: Vec::new(), kept_per_parent: vec![0; frontier.len()] };
+    let mut next = Vec::new();
+    let mut kept_per_parent = vec![0usize; frontier.len()];
     let mut learned = LearnedCores::new();
-    while next.entries.len() < config.max_frontier {
+    while next.len() < config.max_frontier {
         let Some(tier) = tiers.encode_next()? else {
             break;
         };
         // Within a tier: parent order, then option order.
-        let candidates: Vec<(usize, usize)> = (0..frontier.len())
-            .flat_map(|parent| tier.clone().map(move |opt| (parent, opt)))
-            .collect();
-        if config.parallel_workers > 1 {
-            advance_tier_parallel(
-                frontier,
-                &tiers.options,
-                &candidates,
-                pos,
-                &mut next,
-                &mut learned,
-                config,
-                stats,
-            )?;
-        } else {
-            advance_tier_sequential(
-                frontier,
-                &tiers.options,
-                &candidates,
-                pos,
-                &mut next,
-                &mut learned,
-                config,
-                stats,
-            )?;
-        }
-    }
-    Ok(next.entries)
-}
-
-/// The sequential advance over one tier's candidates: best-first order,
-/// caps applied before evaluation, cores learned as soon as they are
-/// extracted.
-#[allow(clippy::too_many_arguments)]
-fn advance_tier_sequential(
-    frontier: &[FrontierEntry],
-    options: &[Vec<LinConstraint<Unknown>>],
-    candidates: &[(usize, usize)],
-    pos: u32,
-    next: &mut NextFrontier,
-    learned: &mut LearnedCores,
-    config: &SynthConfig,
-    stats: &mut SynthStats,
-) -> InvgenResult<()> {
-    for &(parent, opt_idx) in candidates {
-        if next.entries.len() >= config.max_frontier {
-            break;
-        }
-        if next.kept_per_parent[parent] >= config.max_options_per_step {
-            continue;
-        }
-        // One cancellation poll per beam candidate — the poll granularity
-        // the racing harness's contract promises for synthesis.
-        pathinv_smt::check_ambient().map_err(InvgenError::from)?;
-        stats.choices_explored += 1;
-        stats::record_branch_explored();
-        let outcome = evaluate_candidate(
-            &frontier[parent],
-            &options[opt_idx],
-            pos,
-            opt_idx as u32,
-            learned,
-            config,
-        )?;
-        merge_outcome(
-            outcome,
-            parent,
-            opt_idx as u32,
-            pos,
-            &frontier[parent].decisions,
-            next,
-            learned,
-            config,
-            stats,
-        );
-    }
-    Ok(())
-}
-
-/// The parallel advance over one tier's candidates: they are evaluated in
-/// waves on scoped worker threads and merged *in the sequential candidate
-/// order*.
-///
-/// Determinism argument (DESIGN.md §12): a candidate's outcome is a pure
-/// function of its parent entry and option — cores only *skip* evaluations
-/// of branches that are infeasible by construction (a covered branch
-/// re-pushes a jointly infeasible row set, so it could never enter `next`),
-/// and the frontier/per-parent caps are re-applied during the ordered
-/// merge.  The surviving entries and their order — hence the synthesized
-/// invariants — are therefore identical to the sequential search at any
-/// worker count.  Only the work counters can differ, because workers may
-/// evaluate candidates the sequential loop would have skipped.
-#[allow(clippy::too_many_arguments)]
-fn advance_tier_parallel(
-    frontier: &[FrontierEntry],
-    options: &[Vec<LinConstraint<Unknown>>],
-    candidates: &[(usize, usize)],
-    pos: u32,
-    next: &mut NextFrontier,
-    learned: &mut LearnedCores,
-    config: &SynthConfig,
-    stats: &mut SynthStats,
-) -> InvgenResult<()> {
-    let workers = config.parallel_workers;
-    // Waves keep speculation bounded: the sequential search stops once the
-    // frontier fills, so evaluating every candidate eagerly would waste the
-    // tail.  A few candidates per worker per wave is enough to keep every
-    // worker busy without racing far past the caps.
-    let wave_size = workers * 4;
-    let mut cursor = 0usize;
-    'waves: while cursor < candidates.len() && next.entries.len() < config.max_frontier {
-        // One cancellation poll per wave (workers do not inherit the
-        // coordinator's ambient token; the coordinator polls for them).
-        pathinv_smt::check_ambient().map_err(InvgenError::from)?;
-        let wave = &candidates[cursor..candidates.len().min(cursor + wave_size)];
-        cursor += wave.len();
-        // Evaluate the wave concurrently against the wave-start core set.
-        // Contiguous chunks preserve candidate order across the flatten.
-        let chunk_len = wave.len().div_ceil(workers);
-        let cores: &LearnedCores = learned;
-        let wave_outcomes: Vec<InvgenResult<CandidateOutcome>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = wave
-                .chunks(chunk_len)
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let smt_before = pathinv_smt::stats_snapshot();
-                        let synth_before = stats::snapshot();
-                        let outcomes: Vec<InvgenResult<CandidateOutcome>> = chunk
-                            .iter()
-                            .map(|&(parent, opt_idx)| {
-                                evaluate_candidate(
-                                    &frontier[parent],
-                                    &options[opt_idx],
-                                    pos,
-                                    opt_idx as u32,
-                                    cores,
-                                    config,
-                                )
-                            })
-                            .collect();
-                        (
-                            outcomes,
-                            pathinv_smt::stats_snapshot().since(&smt_before),
-                            stats::snapshot().since(&synth_before),
-                        )
-                    })
-                })
-                .collect();
-            let mut all = Vec::with_capacity(wave.len());
-            for handle in handles {
-                let (outcomes, smt_delta, synth_delta) =
-                    handle.join().expect("beam worker panicked");
-                // Fold the workers' thread-local counters back into the
-                // coordinator's, so a caller's snapshot delta around the
-                // whole synthesis still accounts for every call.
-                pathinv_smt::stats::add(&smt_delta);
-                stats::add(&synth_delta);
-                all.extend(outcomes);
+        let candidates = frontier
+            .iter()
+            .enumerate()
+            .flat_map(|(parent, acc)| tier.clone().map(move |opt| (parent, acc, opt)));
+        for (parent, acc, opt_idx) in candidates {
+            if next.len() >= config.max_frontier {
+                break;
             }
-            all
-        });
-        // Ordered merge: identical cap logic, identical push order.
-        for (&(parent, opt_idx), outcome) in wave.iter().zip(wave_outcomes) {
-            if next.entries.len() >= config.max_frontier {
-                break 'waves;
-            }
-            if next.kept_per_parent[parent] >= config.max_options_per_step {
+            if kept_per_parent[parent] >= config.max_options_per_step {
                 continue;
             }
+            // One cancellation poll per beam candidate — the poll
+            // granularity the racing harness's contract promises for
+            // synthesis.
+            pathinv_smt::check_ambient().map_err(InvgenError::from)?;
             stats.choices_explored += 1;
             stats::record_branch_explored();
-            merge_outcome(
-                outcome?,
-                parent,
-                opt_idx as u32,
-                pos,
-                &frontier[parent].decisions,
-                next,
-                learned,
-                config,
-                stats,
-            );
+            let opt = opt_idx as u32;
+            match evaluate_candidate(acc, &tiers.options[opt_idx], pos, opt, &learned, config)? {
+                CandidateOutcome::CoveredByCore => {
+                    stats.branches_pruned += 1;
+                    stats::record_branch_pruned();
+                }
+                CandidateOutcome::PresolveConflict(deps) => {
+                    stats.branches_pruned += 1;
+                    stats::record_branch_pruned();
+                    if config.conflict_driven {
+                        learn_core(&mut learned, stats, &deps, &acc.decisions, pos, opt);
+                    }
+                }
+                CandidateOutcome::Feasible(child, used_lp) => {
+                    if used_lp {
+                        stats.lp_calls += 1;
+                    }
+                    next.push(*child);
+                    kept_per_parent[parent] += 1;
+                }
+                CandidateOutcome::Infeasible(core_deps) => {
+                    stats.lp_calls += 1;
+                    if let Some(deps) = core_deps {
+                        learn_core(&mut learned, stats, &deps, &acc.decisions, pos, opt);
+                    }
+                }
+            }
         }
     }
-    Ok(())
+    Ok(next)
 }
 
 /// Biases a surviving entry's witness toward *growing* array ranges: for
@@ -1773,69 +1570,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn parallel_beam_is_byte_identical_to_sequential() {
-        // The ordered-merge determinism argument (DESIGN.md §12) made
-        // concrete: at every worker count, on a succeeding task and on a
-        // failing one, the synthesized invariants and the parameter
-        // valuation must equal the sequential run's exactly.
-        let forward = corpus::forward();
-        let fwd_l1 = corpus::find_loc(&forward, "L1");
-        let forward_templates = || {
-            let mut t = TemplateMap::new();
-            let vars = [
-                Symbol::intern("i"),
-                Symbol::intern("n"),
-                Symbol::intern("a"),
-                Symbol::intern("b"),
-            ];
-            t.add_scalar_row(fwd_l1, &vars, RowOp::Eq).unwrap();
-            t.add_scalar_row(fwd_l1, &vars, RowOp::Le).unwrap();
-            t
-        };
-        let initcheck = corpus::initcheck();
-        let init_l1 = corpus::find_loc(&initcheck, "L1");
-        let init_l3 = corpus::find_loc(&initcheck, "L3");
-        let initcheck_templates = || {
-            let mut t = TemplateMap::new();
-            let scalars = [Symbol::intern("i"), Symbol::intern("n")];
-            let a = Symbol::intern("a");
-            t.add_array_row(init_l1, a, &scalars, RelOp::Eq).unwrap();
-            t.add_array_row(init_l3, a, &scalars, RelOp::Eq).unwrap();
-            t
-        };
-
-        for (program, templates) in
-            [(&forward, forward_templates()), (&initcheck, initcheck_templates())]
-        {
-            let sequential = synthesize(program, &templates, &SynthConfig::default()).unwrap();
-            for workers in [2, 4, 16] {
-                let config = SynthConfig { parallel_workers: workers, ..SynthConfig::default() };
-                let parallel = synthesize(program, &templates, &config).unwrap();
-                assert_eq!(
-                    parallel.invariants, sequential.invariants,
-                    "{workers} workers: invariants diverged"
-                );
-                assert_eq!(
-                    parallel.valuation, sequential.valuation,
-                    "{workers} workers: valuation diverged"
-                );
-            }
-        }
-
-        // Failure is deterministic too: the parallel search must exhaust
-        // the same frontier and report the same NoInvariant.
-        let buggy = corpus::buggy_initcheck();
-        let l1 = corpus::find_loc(&buggy, "L1");
-        let mut templates = TemplateMap::new();
-        templates
-            .add_array_row(l1, Symbol::intern("a"), &[Symbol::intern("i")], RelOp::Eq)
-            .unwrap();
-        let config = SynthConfig { parallel_workers: 4, ..SynthConfig::default() };
-        let err = synthesize(&buggy, &templates, &config).unwrap_err();
-        assert!(matches!(err, InvgenError::NoInvariant { .. }));
-    }
-
     /// FORWARD, INITCHECK, and BUGGY_INITCHECK with the templates the
     /// tests above use.
     fn pinned_cases() -> Vec<(&'static str, Program, TemplateMap)> {
@@ -2201,9 +1935,8 @@ mod tests {
 
     #[test]
     fn synthesis_polls_the_ambient_cancellation_token() {
-        // Both drivers poll `check_ambient` — the sequential one per beam
-        // candidate, the parallel one per wave — so a pre-cancelled ambient
-        // token stops the search before it completes.
+        // The beam polls `check_ambient` per candidate, so a pre-cancelled
+        // ambient token stops the search before it completes.
         let p = corpus::forward();
         let l1 = corpus::find_loc(&p, "L1");
         let vars =
@@ -2211,16 +1944,13 @@ mod tests {
         let mut templates = TemplateMap::new();
         templates.add_scalar_row(l1, &vars, RowOp::Eq).unwrap();
         templates.add_scalar_row(l1, &vars, RowOp::Le).unwrap();
-        for workers in [1, 4] {
-            let token = pathinv_smt::CancellationToken::new();
-            token.cancel();
-            let _ambient = token.install();
-            let config = SynthConfig { parallel_workers: workers, ..SynthConfig::default() };
-            let err = synthesize(&p, &templates, &config).unwrap_err();
-            assert!(
-                matches!(err, InvgenError::Smt(pathinv_smt::SmtError::Cancelled)),
-                "{workers} workers: expected cancellation, got {err:?}"
-            );
-        }
+        let token = pathinv_smt::CancellationToken::new();
+        token.cancel();
+        let _ambient = token.install();
+        let err = synthesize(&p, &templates, &SynthConfig::default()).unwrap_err();
+        assert!(
+            matches!(err, InvgenError::Smt(pathinv_smt::SmtError::Cancelled)),
+            "expected cancellation, got {err:?}"
+        );
     }
 }

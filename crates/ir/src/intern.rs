@@ -18,8 +18,9 @@
 //! ## Sharding and the stability guarantees
 //!
 //! Ids must mean the same thing on every thread, so the tables are
-//! process-global — but a single global mutex would serialize the parallel
-//! beam evaluator and the racing portfolio (DESIGN.md §12) on every intern.
+//! process-global — but a single global mutex would serialize the racing
+//! portfolio's lanes (DESIGN.md §12) and the service's workers on every
+//! intern.
 //! Each table is therefore split into `SHARD_COUNT` shards, each behind
 //! its own `RwLock`.  The discipline:
 //!

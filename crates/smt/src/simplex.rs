@@ -17,7 +17,7 @@ use crate::linexpr::{ConstrOp, LinConstraint, LinExpr};
 use crate::rat::{DeltaRat, Rat};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Outcome of a linear-programming feasibility query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -132,7 +132,7 @@ pub fn solve<K: Ord + Clone + Debug>(constraints: &[LinConstraint<K>]) -> SmtRes
 /// the tableau column of its slack variable.
 #[derive(Clone, Debug)]
 struct ActiveConstraint<K: Ord + Clone> {
-    expr: Arc<LinExpr<K>>,
+    expr: Rc<LinExpr<K>>,
     op: ConstrOp,
     slack: usize,
 }
@@ -279,12 +279,12 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
     ///
     /// Propagates arithmetic overflow.
     pub fn push_constraint(&mut self, c: &LinConstraint<K>) -> SmtResult<()> {
-        self.push_shared(Arc::new(c.expr.clone()), c.op)
+        self.push_shared(Rc::new(c.expr.clone()), c.op)
     }
 
     /// [`push_constraint`](IncrementalSimplex::push_constraint) of an
     /// already-shared expression.
-    fn push_shared(&mut self, expr: Arc<LinExpr<K>>, op: ConstrOp) -> SmtResult<()> {
+    fn push_shared(&mut self, expr: Rc<LinExpr<K>>, op: ConstrOp) -> SmtResult<()> {
         for v in expr.vars() {
             self.ensure_column(&v);
         }

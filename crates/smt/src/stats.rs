@@ -84,18 +84,6 @@ pub fn snapshot() -> SmtStats {
     STATS.with(Cell::get)
 }
 
-/// Adds a delta measured on another thread into the current thread's
-/// counters.
-///
-/// The parallel beam evaluator (DESIGN.md §12) farms candidate feasibility
-/// checks out to scoped worker threads; each worker measures its own work
-/// with [`snapshot`]/[`SmtStats::since`] and the coordinator folds the
-/// deltas back here, so a caller's snapshot delta around the whole synthesis
-/// run still accounts for every solver call regardless of worker count.
-pub fn add(delta: &SmtStats) {
-    bump(|s| *s = s.plus(delta));
-}
-
 fn bump(f: impl FnOnce(&mut SmtStats)) {
     STATS.with(|s| {
         let mut v = s.get();
