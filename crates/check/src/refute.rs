@@ -63,7 +63,7 @@
 use pathinv_ir::formula::{Atom, RelOp};
 use pathinv_ir::{Formula, Symbol, Term, VarRef};
 use pathinv_smt::fourier_motzkin::eliminate;
-use pathinv_smt::{ConstrOp, LinConstraint, LinExpr, Rat, SmtResult};
+use pathinv_smt::{checked_lcm, gcd, ConstrOp, LinConstraint, LinExpr, Rat, SmtResult};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The three-valued outcome of a refutation attempt.
@@ -403,6 +403,10 @@ impl Refuter {
     /// The arithmetic leaf: abstract residual array/function terms, convert
     /// to linear constraints, and run integer-normalized Fourier–Motzkin
     /// elimination to a ground contradiction.
+    ///
+    /// Rows are integer-normalized on entry and after each elimination.
+    /// After a Gaussian pivot only the rows it rewrote are: the others are
+    /// already the output of [`normalize_integer`], which is idempotent.
     fn fm_refute(&mut self, lits: &[Atom]) -> SmtResult<Refutation> {
         let mut abstraction: BTreeMap<Term, VarRef> = BTreeMap::new();
         let mut cs: Vec<LinConstraint<FmVar>> = Vec::new();
@@ -416,43 +420,27 @@ impl Refuter {
                     u8::from(self.skolems.names.contains(&v.sym))
                         + 2 * u8::from(self.abstractions.names.contains(&v.sym))
                 };
-                cs.push(LinConstraint::new(
-                    c.expr.substitute(&|v| LinExpr::var((rank(v), *v)))?,
-                    c.op,
-                ));
+                let mut expr = LinExpr::constant(c.expr.constant_part());
+                for (v, r) in c.expr.terms() {
+                    expr.add_term((rank(v), *v), r)?;
+                }
+                cs.push(LinConstraint::new(expr, c.op));
             }
         }
+        let all = 0..cs.len();
+        if normalize_rows(&mut cs, all)? {
+            return Ok(Refutation::Refuted);
+        }
         loop {
-            let mut ground_false = false;
-            let mut normalized = Vec::with_capacity(cs.len());
-            for c in &cs {
-                match normalize_integer(c)? {
-                    Normalized::Unsat => return Ok(Refutation::Refuted),
-                    Normalized::Constraint(c) => {
-                        if c.expr.is_constant() {
-                            if !c.holds(&|_| Rat::int(0))? {
-                                ground_false = true;
-                            }
-                            // Ground-true constraints carry no information.
-                        } else {
-                            normalized.push(c);
-                        }
-                    }
-                }
-            }
-            if ground_false {
-                return Ok(Refutation::Refuted);
-            }
-            cs = normalized;
             // Gaussian pivot before Fourier–Motzkin: an equation with a ±1
             // coefficient on some variable defines that variable as an
             // integer-coefficient combination of the rest, so substituting
             // it everywhere preserves the *integer* solutions exactly.
             // Rational FM elimination below does not — it forgets that the
             // eliminated variable was an integer, which is precisely what
-            // the gcd test above needs (e.g. `a + b = 2k + 1` under
-            // `a = n, b = n` only contradicts over ℤ, and FM would happily
-            // take `k = n - 1/2`).
+            // the gcd test needs (e.g. `a + b = 2k + 1` under `a = n,
+            // b = n` only contradicts over ℤ, and FM would happily take
+            // `k = n - 1/2`).
             let pivot = cs.iter().enumerate().find_map(|(idx, c)| {
                 if c.op != ConstrOp::Eq {
                     return None;
@@ -468,20 +456,19 @@ impl Refuter {
                 }
                 self.eliminations_left -= 1;
                 let eq = cs.swap_remove(idx);
-                let mut substituted = Vec::with_capacity(cs.len());
-                for c in cs {
+                let mut rewritten = Vec::new();
+                for (i, c) in cs.iter_mut().enumerate() {
                     let cv = c.expr.coeff(&v);
-                    if cv.is_zero() {
-                        substituted.push(c);
-                    } else {
+                    if !cv.is_zero() {
                         // `a ∈ {−1, 1}`, so `1/a = a`: subtracting
                         // `(cv·a)·eq` zeroes `v` without leaving ℤ.
-                        let factor = cv.mul(a)?;
-                        substituted
-                            .push(LinConstraint::new(c.expr.sub(&eq.expr.scale(factor)?)?, c.op));
+                        c.expr = c.expr.sub(&eq.expr.scale(cv.mul(a)?)?)?;
+                        rewritten.push(i);
                     }
                 }
-                cs = substituted;
+                if normalize_rows(&mut cs, rewritten)? {
+                    return Ok(Refutation::Refuted);
+                }
                 continue;
             }
             let Some(var) = cs.iter().flat_map(|c| c.expr.vars()).min() else {
@@ -499,8 +486,36 @@ impl Refuter {
             if cs.len() > self.limits.max_constraints {
                 return Ok(Refutation::NotRefuted);
             }
+            let all = 0..cs.len();
+            if normalize_rows(&mut cs, all)? {
+                return Ok(Refutation::Refuted);
+            }
         }
     }
+}
+
+/// Integer-normalizes the rows of `cs` at the ascending indices `rows`, then
+/// drops the ground rows; `true` when that refutes the conjunction.  A row
+/// without integer solutions refutes at once, a false ground row only after
+/// every later row normalized without overflow (an overflow settles
+/// nothing).
+fn normalize_rows<K: Ord + Clone>(
+    cs: &mut Vec<LinConstraint<K>>,
+    rows: impl IntoIterator<Item = usize>,
+) -> SmtResult<bool> {
+    let mut ground_false = false;
+    for i in rows {
+        match normalize_integer(&cs[i])? {
+            Normalized::Unsat => return Ok(true),
+            Normalized::Constraint(c) => {
+                // Ground-true rows carry no information.
+                ground_false |= c.expr.is_constant() && !c.holds(&|_| Rat::ZERO)?;
+                cs[i] = c;
+            }
+        }
+    }
+    cs.retain(|c| !c.expr.is_constant());
+    Ok(ground_false)
 }
 
 /// The variable part of a linear row: its non-zero coefficients, by
@@ -930,27 +945,11 @@ fn normalize_integer<K: Ord + Clone>(c: &LinConstraint<K>) -> SmtResult<Normaliz
     }
 }
 
-fn gcd(a: i128, b: i128) -> i128 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
-/// `lcm(a, b)`, or `None` on overflow.
-fn checked_lcm(a: i128, b: i128) -> Option<i128> {
-    let g = gcd(a.abs(), b.abs());
-    if g == 0 {
-        return Some(0);
-    }
-    (a / g).checked_mul(b).map(i128::abs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pathinv_ir::Term;
+    use proptest::prelude::*;
 
     fn refuter() -> Refuter {
         Refuter::new(&CheckLimits::default())
@@ -1089,5 +1088,146 @@ mod tests {
             Formula::eq(fx, Term::int(2)),
         ]);
         assert_eq!(refuter().refute(&f), Refutation::Refuted);
+    }
+
+    /// The leaf as it was before rows were normalized incrementally: every
+    /// round re-normalizes every row.  Kept as the oracle for
+    /// [`Refuter::fm_refute`].
+    fn renormalize_every_round(r: &mut Refuter, lits: &[Atom]) -> SmtResult<Refutation> {
+        let mut abstraction: BTreeMap<Term, VarRef> = BTreeMap::new();
+        let mut cs: Vec<LinConstraint<FmVar>> = Vec::new();
+        for a in lits {
+            let lhs = abstract_nonarith(&a.lhs, &mut abstraction, &mut r.abstractions);
+            let rhs = abstract_nonarith(&a.rhs, &mut abstraction, &mut r.abstractions);
+            if let Ok(c) = LinConstraint::from_atom(&Atom::new(lhs, a.op, rhs)) {
+                let rank = |v: &VarRef| {
+                    u8::from(r.skolems.names.contains(&v.sym))
+                        + 2 * u8::from(r.abstractions.names.contains(&v.sym))
+                };
+                cs.push(LinConstraint::new(
+                    c.expr.substitute(&|v| LinExpr::var((rank(v), *v)))?,
+                    c.op,
+                ));
+            }
+        }
+        loop {
+            let mut ground_false = false;
+            let mut normalized = Vec::with_capacity(cs.len());
+            for c in &cs {
+                match normalize_integer(c)? {
+                    Normalized::Unsat => return Ok(Refutation::Refuted),
+                    Normalized::Constraint(c) => {
+                        if c.expr.is_constant() {
+                            if !c.holds(&|_| Rat::int(0))? {
+                                ground_false = true;
+                            }
+                        } else {
+                            normalized.push(c);
+                        }
+                    }
+                }
+            }
+            if ground_false {
+                return Ok(Refutation::Refuted);
+            }
+            cs = normalized;
+            let pivot = cs.iter().enumerate().find_map(|(idx, c)| {
+                if c.op != ConstrOp::Eq {
+                    return None;
+                }
+                c.expr
+                    .terms()
+                    .find(|(_, r)| r.denom() == 1 && r.numer().abs() == 1)
+                    .map(|(v, r)| (idx, *v, r))
+            });
+            if let Some((idx, v, a)) = pivot {
+                if r.eliminations_left == 0 {
+                    return Ok(Refutation::Budget);
+                }
+                r.eliminations_left -= 1;
+                let eq = cs.swap_remove(idx);
+                let mut substituted = Vec::with_capacity(cs.len());
+                for c in cs {
+                    let cv = c.expr.coeff(&v);
+                    if cv.is_zero() {
+                        substituted.push(c);
+                    } else {
+                        let factor = cv.mul(a)?;
+                        substituted
+                            .push(LinConstraint::new(c.expr.sub(&eq.expr.scale(factor)?)?, c.op));
+                    }
+                }
+                cs = substituted;
+                continue;
+            }
+            let Some(var) = cs.iter().flat_map(|c| c.expr.vars()).min() else {
+                return Ok(Refutation::NotRefuted);
+            };
+            if r.eliminations_left == 0 {
+                return Ok(Refutation::Budget);
+            }
+            r.eliminations_left -= 1;
+            cs = match eliminate(&cs, &[var]) {
+                Ok(cs) => cs,
+                Err(_) => return Ok(Refutation::NotRefuted),
+            };
+            if cs.len() > r.limits.max_constraints {
+                return Ok(Refutation::NotRefuted);
+            }
+        }
+    }
+
+    /// A random literal `Σ cᵢ·tᵢ + k ⋈ 0` over `x, y, z` and the reads
+    /// `a[x]`, `a[y + 1]` (abstracted by the leaf).
+    fn leaf_literal() -> impl Strategy<Value = Atom> {
+        let op = prop_oneof![
+            Just(RelOp::Eq),
+            Just(RelOp::Eq),
+            Just(RelOp::Le),
+            Just(RelOp::Lt),
+            Just(RelOp::Ge),
+            Just(RelOp::Ne),
+        ];
+        let coeff = || prop_oneof![-3i128..=3, -1i128..=1, Just(0i128)];
+        (coeff(), coeff(), coeff(), coeff(), coeff(), -6i128..=6, op).prop_map(
+            |(cx, cy, cz, ca, cb, k, op)| {
+                let a = Term::var("a");
+                let summands = [
+                    Term::var("x"),
+                    Term::var("y"),
+                    Term::var("z"),
+                    a.clone().select(Term::var("x")),
+                    a.select(Term::var("y").add(Term::int(1))),
+                ];
+                let mut lhs = Term::int(k);
+                for (c, t) in [cx, cy, cz, ca, cb].into_iter().zip(summands) {
+                    if c != 0 {
+                        lhs = lhs.add(Term::int(c).mul(t));
+                    }
+                }
+                Atom::new(lhs, op, Term::int(0))
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The leaf that re-normalizes only rewritten rows answers as the
+        /// renormalize-every-round leaf does, with the same eliminations,
+        /// also when the elimination or constraint budget runs out.
+        #[test]
+        fn leaf_matches_renormalize_every_round(
+            lits in proptest::collection::vec(leaf_literal(), 1..9),
+            max_eliminations in prop_oneof![0usize..4, Just(2_000_000usize)],
+            max_constraints in prop_oneof![Just(6usize), Just(4_000usize)],
+        ) {
+            let limits = CheckLimits { max_eliminations, max_constraints, ..CheckLimits::default() };
+            let (mut leaf, mut oracle) = (Refuter::new(&limits), Refuter::new(&limits));
+            let got = leaf.fm_refute(&lits);
+            let want = renormalize_every_round(&mut oracle, &lits);
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(leaf.eliminations_left, oracle.eliminations_left);
+        }
     }
 }

@@ -129,7 +129,7 @@ fn compact_tmp_path(path: &Path) -> PathBuf {
 }
 
 /// FNV-1a 64 over `bytes`, the same digest primitive certificates use.
-fn fnv64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);

@@ -28,6 +28,7 @@
 //! wall-clock times — so a campaign is byte-identical across `--jobs`
 //! values, machines, and reruns.
 
+use crate::cache::fnv64;
 use crate::json::Json;
 use crate::{TaskEngine, DEFAULT_BASELINE_REFINEMENTS};
 use pathinv_bench::generator::{
@@ -186,6 +187,10 @@ pub struct FuzzReport {
     /// Engine certificates audited by the independent checker (`--certify`
     /// runs only; one audit per engine verdict, conclusive or not).
     pub certs_audited: usize,
+    /// FNV-1a 64 over every portfolio run's (program draw index, engine
+    /// label, verdict, audit verdict), in program order, so two reports
+    /// with equal counts but different per-run outcomes still differ.
+    pub outcomes_digest: u64,
     /// All disagreements, shrunk where possible, in deterministic order.
     pub findings: Vec<Finding>,
 }
@@ -308,19 +313,24 @@ struct CheckCounts {
     cexes_validated: usize,
     cache_checked: usize,
     certs_audited: usize,
+    /// One line per portfolio run: draw index, engine label, verdict,
+    /// audit verdict (`-` without `--certify`).
+    outcomes: String,
 }
 
 /// Audits one engine's certificate against its verdict (`--certify` only):
 /// a conclusive verdict must carry a certificate of matching polarity that
 /// the independent checker validates; an inconclusive verdict must carry
-/// none.
+/// none.  Returns the audit verdict: `none` without a certificate,
+/// `mismatch` for a certificate the verdict cannot carry, else the
+/// checker's answer.
 fn audit_engine_certificate(
     p: &GeneratedProgram,
     label: &str,
     verdict: &str,
     certificate: Option<&Certificate>,
     findings: &mut Vec<Finding>,
-) {
+) -> &'static str {
     let conclusive = matches!(verdict, "safe" | "unsafe");
     let Some(cert) = certificate else {
         if conclusive {
@@ -330,7 +340,7 @@ fn audit_engine_certificate(
                 format!("{label} concluded {verdict} without emitting a certificate"),
             ));
         }
-        return;
+        return "none";
     };
     if !conclusive {
         findings.push(p.finding(
@@ -338,7 +348,7 @@ fn audit_engine_certificate(
             label,
             format!("{label} attached a {} certificate to a {verdict} verdict", cert.kind()),
         ));
-        return;
+        return "mismatch";
     }
     if cert.claims_safety() != (verdict == "safe") {
         findings.push(p.finding(
@@ -349,7 +359,7 @@ fn audit_engine_certificate(
                 cert.kind()
             ),
         ));
-        return;
+        return "mismatch";
     }
     let outcome = check_certificate(&p.program, cert, &CheckLimits::default());
     if !outcome.is_valid() {
@@ -364,6 +374,7 @@ fn audit_engine_certificate(
             ),
         ));
     }
+    outcome.name()
 }
 
 /// Runs the full three-way cross-check on one generated program.
@@ -398,11 +409,14 @@ fn check_program(
         })
         .collect();
 
-    if certify {
-        for (label, o) in &verdicts {
+    for (label, o) in &verdicts {
+        let audit = if certify {
             counts.certs_audited += 1;
-            audit_engine_certificate(p, label, &o.verdict, o.certificate.as_ref(), &mut findings);
-        }
+            audit_engine_certificate(p, label, &o.verdict, o.certificate.as_ref(), &mut findings)
+        } else {
+            "-"
+        };
+        counts.outcomes.push_str(&format!("{} {label} {} {audit}\n", p.index, o.verdict));
     }
 
     for (label, o) in &verdicts {
@@ -583,6 +597,7 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzReport {
         cexes_validated: 0,
         cache_checked: 0,
         certs_audited: 0,
+        outcomes_digest: 0,
         findings: Vec::new(),
     };
 
@@ -605,13 +620,16 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzReport {
     });
     let mut results = results.into_inner().expect("fuzz sink poisoned");
     results.sort_by_key(|(pos, _, _)| *pos);
+    let mut outcomes = String::new();
     for (_, found, counts) in results {
         findings.extend(found);
         report.engine_runs += counts.engine_runs;
         report.cexes_validated += counts.cexes_validated;
         report.cache_checked += counts.cache_checked;
         report.certs_audited += counts.certs_audited;
+        outcomes.push_str(&counts.outcomes);
     }
+    report.outcomes_digest = fnv64(outcomes.as_bytes());
     findings.sort_by(|a, b| {
         (a.index, a.kind, a.engine.as_str()).cmp(&(b.index, b.kind, b.engine.as_str()))
     });
@@ -657,6 +675,7 @@ impl FuzzReport {
             ("cexes_validated", Json::Int(self.cexes_validated as i64)),
             ("cache_checked", Json::Int(self.cache_checked as i64)),
             ("certs_audited", Json::Int(self.certs_audited as i64)),
+            ("outcomes_digest", Json::Str(format!("{:016x}", self.outcomes_digest))),
             ("findings", Json::Array(self.findings.iter().map(Finding::to_json).collect())),
         ])
     }
@@ -742,6 +761,7 @@ mod tests {
         let report = run_fuzz(&opts);
         // One audit per portfolio engine per generated program.
         assert_eq!(report.certs_audited, report.generated * 4);
+        assert_ne!(report.outcomes_digest, fnv64(b""), "every run's outcome is hashed");
         let cert_findings: Vec<&Finding> =
             report.findings.iter().filter(|f| certify_for(f.kind)).collect();
         assert!(cert_findings.is_empty(), "{cert_findings:?}");

@@ -71,7 +71,7 @@ pub use deadline::{enforce_deadline, DeadlineGuard};
 pub use error::{SmtError, SmtResult};
 pub use interpolate::{interpolant_from_certificate, sequence_interpolants, SequenceInterpolator};
 pub use linexpr::{ConstrOp, LinConstraint, LinExpr};
-pub use rat::{DeltaRat, Rat};
+pub use rat::{checked_lcm, gcd, DeltaRat, Rat};
 pub use simplex::{solve as lra_solve, FarkasCertificate, IncrementalSimplex, LpResult};
 pub use solver::{IntSatResult, Model, SatResult, Solver};
 pub use stats::{snapshot as stats_snapshot, SmtStats};

@@ -6,22 +6,24 @@
 //! pairs of parameter × program variable).
 
 use crate::error::{SmtError, SmtResult};
-use crate::rat::Rat;
+use crate::rat::{checked_lcm, Rat};
 use pathinv_ir::{Atom, RelOp, Term, VarRef};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// A linear expression `Σ cᵢ·xᵢ + c` with rational coefficients over
 /// variables of type `K`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct LinExpr<K: Ord + Clone = VarRef> {
-    coeffs: BTreeMap<K, Rat>,
+    /// The non-zero coefficients, strictly ascending by variable: a sorted
+    /// sparse vector, so sums are one merge and a clone one allocation.
+    coeffs: Vec<(K, Rat)>,
     constant: Rat,
 }
 
 impl<K: Ord + Clone> Default for LinExpr<K> {
     fn default() -> Self {
-        LinExpr { coeffs: BTreeMap::new(), constant: Rat::ZERO }
+        LinExpr { coeffs: Vec::new(), constant: Rat::ZERO }
     }
 }
 
@@ -33,23 +35,18 @@ impl<K: Ord + Clone> LinExpr<K> {
 
     /// A constant expression.
     pub fn constant(c: Rat) -> Self {
-        LinExpr { coeffs: BTreeMap::new(), constant: c }
+        LinExpr { coeffs: Vec::new(), constant: c }
     }
 
     /// The expression `1·x`.
     pub fn var(x: K) -> Self {
-        let mut coeffs = BTreeMap::new();
-        coeffs.insert(x, Rat::ONE);
-        LinExpr { coeffs, constant: Rat::ZERO }
+        LinExpr { coeffs: vec![(x, Rat::ONE)], constant: Rat::ZERO }
     }
 
     /// The expression `c·x`.
     pub fn scaled_var(x: K, c: Rat) -> Self {
-        let mut e = Self::zero();
-        if !c.is_zero() {
-            e.coeffs.insert(x, c);
-        }
-        e
+        let coeffs = if c.is_zero() { Vec::new() } else { vec![(x, c)] };
+        LinExpr { coeffs, constant: Rat::ZERO }
     }
 
     /// The constant part.
@@ -57,19 +54,25 @@ impl<K: Ord + Clone> LinExpr<K> {
         self.constant
     }
 
-    /// The coefficient of `x` (zero if absent).
-    pub fn coeff(&self, x: &K) -> Rat {
-        self.coeffs.get(x).copied().unwrap_or(Rat::ZERO)
+    /// Where `x` is, or would be inserted, in `coeffs`.
+    fn position(&self, x: &K) -> Result<usize, usize> {
+        self.coeffs.binary_search_by(|(k, _)| k.cmp(x))
     }
 
-    /// Iterates over the (variable, non-zero coefficient) pairs.
+    /// The coefficient of `x` (zero if absent).
+    pub fn coeff(&self, x: &K) -> Rat {
+        self.position(x).map_or(Rat::ZERO, |i| self.coeffs[i].1)
+    }
+
+    /// Iterates over the (variable, non-zero coefficient) pairs, in
+    /// ascending variable order.
     pub fn terms(&self) -> impl Iterator<Item = (&K, Rat)> + '_ {
-        self.coeffs.iter().map(|(k, &c)| (k, c))
+        self.coeffs.iter().map(|(k, c)| (k, *c))
     }
 
     /// The variables with non-zero coefficients.
     pub fn vars(&self) -> Vec<K> {
-        self.coeffs.keys().cloned().collect()
+        self.coeffs.iter().map(|(k, _)| k.clone()).collect()
     }
 
     /// Returns `true` if the expression has no variable part.
@@ -79,10 +82,17 @@ impl<K: Ord + Clone> LinExpr<K> {
 
     /// Adds `c·x` to the expression in place.
     pub fn add_term(&mut self, x: K, c: Rat) -> SmtResult<()> {
-        let entry = self.coeffs.entry(x.clone()).or_insert(Rat::ZERO);
-        *entry = entry.add(c)?;
-        if entry.is_zero() {
-            self.coeffs.remove(&x);
+        match self.position(&x) {
+            Ok(i) => {
+                let sum = self.coeffs[i].1.add(c)?;
+                if sum.is_zero() {
+                    self.coeffs.remove(i);
+                } else {
+                    self.coeffs[i].1 = sum;
+                }
+            }
+            Err(i) if !c.is_zero() => self.coeffs.insert(i, (x, c)),
+            Err(_) => {}
         }
         Ok(())
     }
@@ -93,19 +103,50 @@ impl<K: Ord + Clone> LinExpr<K> {
         Ok(())
     }
 
+    /// The coefficients of `self + Σ f(c)·x` over the terms `c·x` of
+    /// `other`, as one sorted merge that drops cancelled terms.
+    fn merge(&self, other: &Self, f: impl Fn(Rat) -> SmtResult<Rat>) -> SmtResult<Vec<(K, Rat)>> {
+        let (xs, ys) = (&self.coeffs, &other.coeffs);
+        let mut out = Vec::with_capacity(xs.len() + ys.len());
+        let (mut i, mut j) = (0, 0);
+        while i < xs.len() && j < ys.len() {
+            let ((kx, cx), (ky, cy)) = (&xs[i], &ys[j]);
+            match kx.cmp(ky) {
+                Ordering::Less => {
+                    out.push((kx.clone(), *cx));
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    out.push((ky.clone(), f(*cy)?));
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    let sum = cx.add(f(*cy)?)?;
+                    if !sum.is_zero() {
+                        out.push((kx.clone(), sum));
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        out.extend_from_slice(&xs[i..]);
+        for (k, c) in &ys[j..] {
+            out.push((k.clone(), f(*c)?));
+        }
+        Ok(out)
+    }
+
     /// Sum of two expressions.
     pub fn add(&self, other: &Self) -> SmtResult<Self> {
-        let mut out = self.clone();
-        for (k, c) in other.terms() {
-            out.add_term(k.clone(), c)?;
-        }
-        out.add_constant(other.constant)?;
-        Ok(out)
+        let coeffs = self.merge(other, Ok)?;
+        Ok(LinExpr { coeffs, constant: self.constant.add(other.constant)? })
     }
 
     /// Difference of two expressions.
     pub fn sub(&self, other: &Self) -> SmtResult<Self> {
-        self.add(&other.scale(Rat::MINUS_ONE)?)
+        let coeffs = self.merge(other, Rat::neg)?;
+        Ok(LinExpr { coeffs, constant: self.constant.add(other.constant.neg()?)? })
     }
 
     /// The expression scaled by `k`.
@@ -113,10 +154,11 @@ impl<K: Ord + Clone> LinExpr<K> {
         if k.is_zero() {
             return Ok(Self::zero());
         }
-        let mut coeffs = BTreeMap::new();
-        for (x, c) in &self.coeffs {
-            coeffs.insert(x.clone(), c.mul(k)?);
-        }
+        let coeffs = self
+            .coeffs
+            .iter()
+            .map(|(x, c)| Ok((x.clone(), c.mul(k)?)))
+            .collect::<SmtResult<_>>()?;
         Ok(LinExpr { coeffs, constant: self.constant.mul(k)? })
     }
 
@@ -187,22 +229,9 @@ impl LinExpr<VarRef> {
     /// the (positive) scale factor that was applied.
     pub fn to_scaled_term(&self) -> SmtResult<(Term, i128)> {
         let mut scale: i128 = 1;
-        let mut lcm = |d: i128| {
-            let g = {
-                let (mut a, mut b) = (scale.abs(), d.abs());
-                while b != 0 {
-                    let t = a % b;
-                    a = b;
-                    b = t;
-                }
-                a
-            };
-            scale = scale / g * d;
-        };
-        for (_, c) in self.terms() {
-            lcm(c.denom());
+        for d in self.terms().map(|(_, c)| c.denom()).chain([self.constant.denom()]) {
+            scale = checked_lcm(scale, d).ok_or(SmtError::Overflow)?;
         }
-        lcm(self.constant.denom());
         let mut term: Option<Term> = None;
         fn push(term: &mut Option<Term>, t: Term) {
             *term = Some(match term.take() {

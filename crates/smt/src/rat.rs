@@ -21,7 +21,9 @@ pub struct Rat {
     den: i128,
 }
 
-fn gcd(a: i128, b: i128) -> i128 {
+/// The non-negative greatest common divisor of `|a|` and `|b|` (zero only
+/// when both are zero).
+pub fn gcd(a: i128, b: i128) -> i128 {
     let (mut a, mut b) = (a.abs(), b.abs());
     while b != 0 {
         let t = a % b;
@@ -29,6 +31,16 @@ fn gcd(a: i128, b: i128) -> i128 {
         b = t;
     }
     a
+}
+
+/// The non-negative least common multiple of `a` and `b` (zero when both
+/// are zero), or `None` on overflow.
+pub fn checked_lcm(a: i128, b: i128) -> Option<i128> {
+    let g = gcd(a, b);
+    if g == 0 {
+        return Some(0);
+    }
+    (a / g).checked_mul(b).and_then(i128::checked_abs)
 }
 
 impl Rat {

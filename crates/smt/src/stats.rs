@@ -56,18 +56,6 @@ impl SmtStats {
             interpolant_calls: self.interpolant_calls - earlier.interpolant_calls,
         }
     }
-
-    /// Component-wise sum of two snapshots (for aggregating per-phase or
-    /// per-task deltas).
-    #[must_use]
-    pub fn plus(&self, other: &SmtStats) -> SmtStats {
-        SmtStats {
-            sat_checks: self.sat_checks + other.sat_checks,
-            simplex_calls: self.simplex_calls + other.simplex_calls,
-            simplex_warm_checks: self.simplex_warm_checks + other.simplex_warm_checks,
-            interpolant_calls: self.interpolant_calls + other.interpolant_calls,
-        }
-    }
 }
 
 thread_local! {
@@ -130,7 +118,5 @@ mod tests {
                 interpolant_calls: 1
             }
         );
-        let doubled = delta.plus(&delta);
-        assert_eq!(doubled.simplex_calls, 4);
     }
 }
