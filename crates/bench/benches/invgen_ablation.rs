@@ -1,42 +1,14 @@
-//! Ablations called out in DESIGN.md §5: the size of the Farkas-multiplier
-//! candidate set, and constraint-based templates vs. the interval abstract
-//! interpretation on the scalar FORWARD example.
+//! The ablation called out in DESIGN.md §5: the interval abstract
+//! interpretation on the scalar FORWARD example, the cheap alternative to
+//! the constraint-based templates timed in `invgen_templates`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pathinv_invgen::{interval_analyze, synthesize, RowOp, SynthConfig, TemplateMap};
-use pathinv_ir::{corpus, Symbol};
-use pathinv_smt::Rat;
-
-fn forward_templates() -> (pathinv_ir::Program, TemplateMap) {
-    let program = corpus::forward();
-    let l1 = corpus::find_loc(&program, "L1");
-    let vars = [Symbol::intern("i"), Symbol::intern("n"), Symbol::intern("a"), Symbol::intern("b")];
-    let mut t = TemplateMap::new();
-    t.add_scalar_row(l1, &vars, RowOp::Eq).unwrap();
-    t.add_scalar_row(l1, &vars, RowOp::Le).unwrap();
-    (program, t)
-}
+use pathinv_invgen::interval_analyze;
+use pathinv_ir::corpus;
 
 fn bench_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("invgen_ablation");
     group.sample_size(10);
-
-    // Multiplier candidate-set size.
-    for (label, ineq, eq) in [
-        ("multipliers_01", vec![0, 1], vec![-1, 0, 1]),
-        ("multipliers_012", vec![0, 1, 2], vec![-1, 0, 1]),
-        ("multipliers_0123", vec![0, 1, 2, 3], vec![-2, -1, 0, 1, 2]),
-    ] {
-        let config = SynthConfig {
-            ineq_multipliers: ineq.into_iter().map(Rat::int).collect(),
-            eq_multipliers: eq.into_iter().map(Rat::int).collect(),
-            ..SynthConfig::default()
-        };
-        group.bench_function(format!("forward_synthesis/{label}"), |b| {
-            let (program, templates) = forward_templates();
-            b.iter(|| synthesize(&program, &templates, &config).unwrap());
-        });
-    }
 
     // Abstract-interpretation alternative (cheap, but cannot prove FORWARD).
     group.bench_function("interval_analysis_forward", |b| {

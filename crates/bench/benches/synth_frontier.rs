@@ -1,11 +1,11 @@
-//! Micro-benchmarks of the PR 5 invariant-synthesis pipeline: presolved vs
-//! raw Farkas systems, and the conflict-driven frontier vs the enumerative
-//! baseline, on both a succeeding synthesis (FORWARD) and a failing one
-//! (the buggy INITCHECK variant, where conflict cores prune hardest).
+//! Micro-benchmarks of the invariant-synthesis pipeline: presolved vs raw
+//! Farkas systems, and the conflict-driven frontier search on both a
+//! succeeding synthesis (FORWARD) and a failing one (the buggy INITCHECK
+//! variant, where conflict cores prune hardest).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pathinv_invgen::presolve::presolve;
-use pathinv_invgen::{synthesize, RowOp, SynthConfig, TemplateMap};
+use pathinv_invgen::{synthesize, RowOp, TemplateMap};
 use pathinv_ir::{corpus, RelOp, Symbol};
 use pathinv_smt::{lra_solve, ConstrOp, LinConstraint, LinExpr, Rat};
 
@@ -69,38 +69,24 @@ fn bench_synth_frontier(c: &mut Criterion) {
         });
     });
 
-    // Conflict-driven vs enumerative frontier, succeeding synthesis.
+    // A succeeding synthesis.
     let forward = corpus::forward();
-    for (label, presolve_on, conflict_driven) in [
-        ("forward/conflict_driven_presolved", true, true),
-        ("forward/enumerative_raw", false, false),
-    ] {
-        let config =
-            SynthConfig { presolve: presolve_on, conflict_driven, ..SynthConfig::default() };
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let templates = forward_templates(&forward);
-                black_box(synthesize(&forward, &templates, &config)).unwrap();
-            });
+    group.bench_function("forward/conflict_driven_presolved", |b| {
+        b.iter(|| {
+            let templates = forward_templates(&forward);
+            black_box(synthesize(&forward, &templates)).unwrap();
         });
-    }
+    });
 
-    // Conflict-driven vs enumerative frontier, failing synthesis (the case
-    // the BUGGY_INITCHECK refinement loop hits repeatedly).
+    // A failing synthesis (the case the BUGGY_INITCHECK refinement loop
+    // hits repeatedly).
     let buggy = corpus::buggy_initcheck();
-    for (label, presolve_on, conflict_driven) in [
-        ("buggy_initcheck/conflict_driven_presolved", true, true),
-        ("buggy_initcheck/enumerative_raw", false, false),
-    ] {
-        let config =
-            SynthConfig { presolve: presolve_on, conflict_driven, ..SynthConfig::default() };
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let templates = buggy_templates(&buggy);
-                assert!(black_box(synthesize(&buggy, &templates, &config)).is_err());
-            });
+    group.bench_function("buggy_initcheck/conflict_driven_presolved", |b| {
+        b.iter(|| {
+            let templates = buggy_templates(&buggy);
+            assert!(black_box(synthesize(&buggy, &templates)).is_err());
         });
-    }
+    });
 
     group.finish();
 }

@@ -912,13 +912,16 @@ fn normalize_integer<K: Ord + Clone>(c: &LinConstraint<K>) -> SmtResult<Normaliz
     if coeffs.is_empty() {
         return Ok(Normalized::Constraint(tightened));
     }
-    let mut g: i128 = 0;
+    let mut g: u128 = 0;
     for a in &coeffs {
-        g = gcd(g, a.abs());
+        g = gcd(g, a.unsigned_abs());
     }
-    if g <= 1 {
-        return Ok(Normalized::Constraint(tightened));
-    }
+    // A gcd of `2¹²⁷` (every coefficient `i128::MIN`) does not fit `i128`;
+    // the constraint is then left as-is, which is still exact.
+    let g = match i128::try_from(g) {
+        Ok(g) if g > 1 => g,
+        _ => return Ok(Normalized::Constraint(tightened)),
+    };
     let konst = tightened.expr.constant_part().numer();
     match tightened.op {
         ConstrOp::Eq => {

@@ -13,9 +13,10 @@
 //!    replay concretely into the error location under
 //!    [`pathinv_ir::exec::replay`];
 //! 3. **cached vs uncached** — a sample of programs re-runs the CEGAR
-//!    engine with the incremental caches disabled and compares observable
-//!    outcomes.  Both sides decide their queries on the same live tableau
-//!    of the solver context, so this checks the caches, not the warm path;
+//!    engine with the abstract post's incremental layers (the query cache
+//!    and the frame carry) disabled and compares observable outcomes.
+//!    Both sides decide their queries on the same live tableau of the
+//!    solver context, so this checks those layers, not the warm path;
 //!    the warm path is held to the stateless solver by the context's
 //!    property tests (`crates/smt/tests/context.rs`).
 //!

@@ -85,9 +85,11 @@ pub struct BatchTask {
 }
 
 impl BatchTask {
-    /// Disables the incremental caches on CEGAR tasks (`--no-cache`).  A
-    /// no-op for BMC, whose context is uncached by design, and for PDR,
-    /// whose query cache is integral to obligation retries.
+    /// Switches off the abstract post's incremental layers (the query cache
+    /// and the frame-carried literals) on CEGAR tasks: the reference
+    /// configuration of the corpus regression's cache-parity run.  A no-op
+    /// for BMC, whose context is uncached by design, and for PDR, whose
+    /// query cache is integral to obligation retries.
     pub fn disable_cegar_caching(&mut self) {
         if let TaskEngine::Cegar(config) = &mut self.engine {
             config.caching = false;
@@ -510,7 +512,7 @@ impl BatchReport {
             count_verdicts(&self.tasks, "unknown"),
             count_verdicts(&self.tasks, "error"),
             self.total(|s| s.solver_calls),
-            self.total(|s| s.query_cache_hits + s.post_cache_hits),
+            self.total(|s| s.query_cache_hits),
         ));
         out
     }

@@ -133,8 +133,6 @@ OPTIONS:
                            repository root, `--all --engine portfolio
                            --certify --golden tests/golden/corpus.json`
                            regenerates the committed golden
-    --no-cache             disable the incremental solver caches on cegar
-                           tasks (same verdicts, more solver calls)
     --quiet                suppress the summary table
     --help                 show this help
 
@@ -158,7 +156,6 @@ struct Options {
     jobs: usize,
     json_path: Option<String>,
     golden_path: Option<String>,
-    no_cache: bool,
     quiet: bool,
 }
 
@@ -226,7 +223,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         jobs: default_jobs(),
         json_path: None,
         golden_path: None,
-        no_cache: false,
         quiet: false,
     };
     let mut engine_set = false;
@@ -262,7 +258,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--jobs" => opts.jobs = args.positive(arg)?,
             "--json" => opts.json_path = Some(args.value(arg)?),
             "--golden" => opts.golden_path = Some(args.value(arg)?),
-            "--no-cache" => opts.no_cache = true,
             "--help" | "-h" => return Err(String::new()),
             other if other.starts_with('-') => {
                 return Err(format!("unknown option `{other}`"));
@@ -286,7 +281,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         let conflicting = engine_set
             || refiner_set
             || opts.max_refinements.is_some()
-            || opts.no_cache
             || opts.golden_path.is_some();
         if conflicting {
             return Err("--race runs the default engine portfolio per program; it only combines \
@@ -547,11 +541,6 @@ fn main() -> ExitCode {
     if opts.timeout_ms.is_some() {
         for t in &mut tasks {
             t.timeout_ms = opts.timeout_ms;
-        }
-    }
-    if opts.no_cache {
-        for t in &mut tasks {
-            t.disable_cegar_caching();
         }
     }
     let report = run_batch(tasks, opts.jobs);

@@ -101,6 +101,7 @@ fn usage_errors_exit_two() {
     assert_eq!(run_cli(&[]), 2, "no inputs is a usage error");
     assert_eq!(run_cli(&["--bless"]), 2, "--golden is the only regeneration path");
     assert_eq!(run_cli(&["--all", "--beam-workers", "2"]), 2, "the synthesis beam is sequential");
+    assert_eq!(run_cli(&["--all", "--no-cache"]), 2, "caching is not a command-line option");
 }
 
 /// The portfolio cross-checks engines end-to-end through the real binary:

@@ -8,9 +8,9 @@
 //! by BLAST-style model checkers, which is exactly the abstraction the paper
 //! instantiates its refinement scheme on (§4.1).
 
-use pathinv_ir::{Formula, FormulaId, Loc, Program, SeqId, Transition};
+use pathinv_ir::{Formula, Loc, Program, Transition};
 use pathinv_smt::{SmtResult, SolverContext};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The predicate map Π: the predicates tracked at each location.
 #[derive(Clone, Debug, Default)]
@@ -132,32 +132,24 @@ impl AbstractState {
 pub struct PostStats {
     /// Abstract-post computations requested.
     pub post_queries: u64,
-    /// Requests answered from the post-result memo without any solver work.
-    pub post_cache_hits: u64,
     /// Boolean solver queries issued through the incremental context
-    /// (feasibility + entailment; post-memo hits issue none).
+    /// (feasibility + entailment).
     pub smt_queries: u64,
     /// Context queries answered from the keyed query cache.
     pub query_cache_hits: u64,
 }
 
-/// The abstract post operator, incremental at three levels.
+/// The abstract post operator, incremental at two levels.
 ///
 /// The CEGAR loop re-runs abstract reachability from scratch after every
 /// refinement step, so the same `(abstract state, transition)` pairs are
 /// re-expanded over and over.  This operator exploits that:
 ///
-/// * **post-result memo** — the full cube result for a
-///   `(transition relation, abstract state, tracked predicates)` key is
-///   remembered, so a re-expansion with an unchanged predicate set costs no
-///   solver call at all.  The key includes the tracked predicates, which is
-///   what *invalidates* stale cubes when refinement grows the predicate map:
-///   a location with new predicates forms a new key and is recomputed.
 /// * **query cache** — the underlying [`SolverContext`] memoizes each
 ///   individual feasibility/entailment query under its assumption stack, so
-///   even a recomputed cube only pays for the queries about the *new*
-///   predicates; the verdicts for previously tracked predicates replay from
-///   the cache.
+///   a re-expanded cube replays every verdict from the cache, and a cube
+///   recomputed after refinement grew the predicate set only pays for the
+///   queries about the *new* predicates.
 /// * **frame-carried literals** — a literal already decided in the source
 ///   state whose variables the transition does not assign is carried to the
 ///   successor without a solver query.  This is exact, not an
@@ -166,7 +158,7 @@ pub struct PostStats {
 ///   entailment holds by construction (and the feasibility of the edge is
 ///   still checked first, so an infeasible guard can never be masked).
 ///
-/// All three layers reproduce answers the deterministic solver would give,
+/// Both layers reproduce answers the deterministic solver would give,
 /// so an incremental operator is observationally identical to a fresh one —
 /// only cheaper.  The operator is therefore created once per verification
 /// run and shared across all reachability phases (see the CEGAR driver).
@@ -175,37 +167,20 @@ pub struct AbstractPost<'a> {
     program: &'a Program,
     ctx: SolverContext,
     caching: bool,
-    memo: HashMap<PostKey, Option<AbstractState>>,
     post_queries: u64,
-    post_cache_hits: u64,
 }
 
-/// The memo key of one abstract-post cube: the hash-consed ids of the
-/// transition relation (which fully determines the edge semantics), the
-/// abstract state's literal set, and the tracked predicate list.  Hash
-/// consing is injective on formula structure, so distinct cubes never
-/// collide — the property the previous rendered-string keys bought with an
-/// `O(formula size)` allocation per lookup, now a `Copy` triple.
-type PostKey = (u32, u32, u32);
-
 impl<'a> AbstractPost<'a> {
-    /// Creates the operator for a program, with memoization enabled.
+    /// Creates the operator for a program, with both layers enabled.
     pub fn new(program: &'a Program) -> AbstractPost<'a> {
         AbstractPost::with_caching(program, true)
     }
 
-    /// Creates the operator with memoization switched on or off (the
+    /// Creates the operator with both layers switched on or off (the
     /// uncached operator re-solves every query; results are identical).
     pub fn with_caching(program: &'a Program, caching: bool) -> AbstractPost<'a> {
         let ctx = if caching { SolverContext::new() } else { SolverContext::uncached() };
-        AbstractPost {
-            program,
-            ctx,
-            caching,
-            memo: HashMap::new(),
-            post_queries: 0,
-            post_cache_hits: 0,
-        }
+        AbstractPost { program, ctx, caching, post_queries: 0 }
     }
 
     /// Computes the abstract successor of `state` (at `t.from`) under
@@ -225,12 +200,6 @@ impl<'a> AbstractPost<'a> {
     ) -> SmtResult<Option<AbstractState>> {
         self.post_queries += 1;
         let rel = t.action.to_relation(self.program.vars());
-        let key = self.caching.then(|| memo_key(&rel, state, preds));
-
-        if let Some(cached) = key.as_ref().and_then(|k| self.memo.get(k)) {
-            self.post_cache_hits += 1;
-            return Ok(cached.clone());
-        }
         // Scope the antecedent (known literals + transition relation) for
         // the whole group of queries about this edge.
         self.ctx.push();
@@ -239,11 +208,7 @@ impl<'a> AbstractPost<'a> {
         let carry = self.caching.then(|| t.action.assigned_vars());
         let result = Self::post_under_assumptions(&self.ctx, state, preds, carry.as_ref());
         self.ctx.pop();
-        let result = result?;
-        if let Some(k) = key {
-            self.memo.insert(k, result.clone());
-        }
-        Ok(result)
+        result
     }
 
     /// The cube computation proper, against the context's assumption stack.
@@ -302,21 +267,10 @@ impl<'a> AbstractPost<'a> {
         let c = self.ctx.stats();
         PostStats {
             post_queries: self.post_queries,
-            post_cache_hits: self.post_cache_hits,
             smt_queries: c.queries,
             query_cache_hits: c.cache_hits,
         }
     }
-}
-
-/// Builds the [`PostKey`] of one abstract-post cube.  The state's literal
-/// set is interned in its canonical (BTreeSet) order and the predicate list
-/// in tracking order, so key equality is exactly structural equality of the
-/// cube inputs.
-fn memo_key(rel: &Formula, state: &AbstractState, preds: &[Formula]) -> PostKey {
-    let state_ids: Vec<u32> = state.literals().map(|l| FormulaId::intern(l).raw()).collect();
-    let pred_ids: Vec<u32> = preds.iter().map(|p| FormulaId::intern(p).raw()).collect();
-    (FormulaId::intern(rel).raw(), SeqId::intern(&state_ids).raw(), SeqId::intern(&pred_ids).raw())
 }
 
 #[cfg(test)]
@@ -414,7 +368,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_posts_hit_the_memo_and_agree_with_fresh_results() {
+    fn repeated_posts_hit_the_query_cache_and_agree_with_fresh_results() {
         let p = corpus::forward();
         let mut cached = AbstractPost::new(&p);
         let mut fresh = AbstractPost::with_caching(&p, false);
@@ -422,16 +376,23 @@ mod tests {
         let t = p.transition(tid).clone();
         let preds = vec![Formula::ge(Term::var("i"), Term::int(0))];
         let first = cached.post(&AbstractState::top(), &t, &preds).unwrap();
+        let after_first = cached.stats();
+        let smt_before = pathinv_smt::stats_snapshot();
         let second = cached.post(&AbstractState::top(), &t, &preds).unwrap();
-        assert_eq!(first, second, "a memo hit must replay the identical cube");
+        let smt = pathinv_smt::stats_snapshot().since(&smt_before);
+        assert_eq!(first, second, "a re-expanded cube must replay the identical result");
         let stats = cached.stats();
         assert_eq!(stats.post_queries, 2);
-        assert_eq!(stats.post_cache_hits, 1);
+        assert!(
+            stats.query_cache_hits > after_first.query_cache_hits,
+            "the repeated cube must be answered from the query cache: {stats:?}"
+        );
+        assert_eq!(smt.simplex_calls, 0, "a replayed cube must build no tableau: {smt:?}");
+        assert_eq!(smt.simplex_warm_checks, 0, "a replayed cube must re-check nothing: {smt:?}");
         // The uncached operator answers identically but never hits.
         let plain = fresh.post(&AbstractState::top(), &t, &preds).unwrap();
         assert_eq!(plain, first);
         fresh.post(&AbstractState::top(), &t, &preds).unwrap();
-        assert_eq!(fresh.stats().post_cache_hits, 0);
         assert!(fresh.stats().query_cache_hits == 0, "uncached context must not cache");
     }
 
@@ -439,9 +400,8 @@ mod tests {
     fn memo_is_invalidated_when_the_predicate_set_grows() {
         // The scenario of a refinement step: the same (state, transition)
         // pair is re-expanded after the predicate map gained a predicate.
-        // The grown predicate set forms a new memo key, so the cached cube
-        // for the old set must NOT be replayed — the new predicate has to
-        // show up in the result.
+        // The cube for the old set must NOT be replayed — the new predicate
+        // has to show up in the result.
         let p = corpus::forward();
         let mut post = AbstractPost::new(&p);
         let tid = corpus::find_transition(&p, "L0b", "L1");
@@ -459,7 +419,6 @@ mod tests {
             "the new predicate must be tracked after growth, not masked by a stale cube"
         );
         let stats = post.stats();
-        assert_eq!(stats.post_cache_hits, 0, "a grown predicate set must miss the memo");
         // The entailment about p1 under the identical antecedent, however,
         // replays from the query cache instead of re-solving.
         assert!(stats.query_cache_hits >= 1, "per-predicate queries must be reused: {stats:?}");

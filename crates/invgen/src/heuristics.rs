@@ -15,7 +15,7 @@
 
 use crate::error::{InvgenError, InvgenResult};
 use crate::relation::{basic_paths, cutset};
-use crate::synth::{synthesize, SynthConfig, SynthStats};
+use crate::synth::{synthesize, SynthStats};
 use crate::template::{RowOp, TemplateMap};
 use pathinv_ir::{Formula, Loc, Program, RelOp, Symbol, Term};
 use std::collections::BTreeMap;
@@ -113,10 +113,9 @@ impl PathInvariantGenerator {
             }
         };
 
-        let config = SynthConfig::default();
         for (description, templates) in proposals {
             let start = Instant::now();
-            match synthesize(program, &templates, &config) {
+            match synthesize(program, &templates) {
                 Ok(result) => {
                     attempts.push(TemplateAttempt {
                         description,

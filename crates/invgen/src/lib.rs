@@ -55,5 +55,5 @@ pub use invmap::InvariantMap;
 pub use presolve::{complete_witness, presolve, presolve_tagged, PresolvedSystem};
 pub use relation::{basic_paths, cutset, BasicPath};
 pub use stats::{snapshot as synth_stats_snapshot, SynthCounters};
-pub use synth::{synthesize, SynthConfig, SynthStats, Synthesis};
+pub use synth::{synthesize, SynthStats, Synthesis};
 pub use template::{ParamId, ParamLin, ParamValuation, RowOp, Template, TemplateMap};

@@ -113,46 +113,20 @@ pub struct Implication {
     pub label: String,
 }
 
-/// Configuration of the bilinear search.
-#[derive(Clone, Debug)]
-pub struct SynthConfig {
-    /// Candidate Farkas multipliers for parametric inequality rows.
-    pub ineq_multipliers: Vec<Rat>,
-    /// Candidate Farkas multipliers for parametric equality rows.
-    pub eq_multipliers: Vec<Rat>,
-    /// Maximum number of partial solutions kept after each condition.
-    pub max_frontier: usize,
-    /// Maximum number of feasible extensions kept per partial solution and
-    /// condition.
-    pub max_options_per_step: usize,
-    /// Whether constraint batches are presolved (multiplier/parameter
-    /// equality elimination, dedup/subsumption, constant-folding conflicts)
-    /// before reaching the simplex.  On by default; off is the raw-system
-    /// ablation baseline used by the `synth_frontier` microbenchmark.
-    pub presolve: bool,
-    /// Whether infeasible extensions learn minimal Farkas conflict cores
-    /// that prune every later branch of the same implication containing
-    /// them.  On by default; off is the purely enumerative frontier of the
-    /// pre-conflict-driven pipeline.
-    pub conflict_driven: bool,
-}
+/// Candidate Farkas multipliers for parametric inequality rows.
+const INEQ_MULTIPLIERS: [Rat; 3] = [Rat::ZERO, Rat::ONE, Rat::int(2)];
 
-impl Default for SynthConfig {
-    fn default() -> Self {
-        SynthConfig {
-            ineq_multipliers: vec![Rat::ZERO, Rat::ONE, Rat::int(2)],
-            eq_multipliers: vec![Rat::MINUS_ONE, Rat::ZERO, Rat::ONE],
-            // A 24-wide beam is what the INITCHECK-family path programs
-            // need to keep the generalising branch alive past the loop-exit
-            // range conditions; conflict-driven pruning makes the wider
-            // beam cheaper than the old 12-wide enumerative one.
-            max_frontier: 24,
-            max_options_per_step: 6,
-            presolve: true,
-            conflict_driven: true,
-        }
-    }
-}
+/// Candidate Farkas multipliers for parametric equality rows.
+const EQ_MULTIPLIERS: [Rat; 3] = [Rat::MINUS_ONE, Rat::ZERO, Rat::ONE];
+
+/// Maximum number of partial solutions kept after each condition.  A
+/// 24-wide beam is what the INITCHECK-family path programs need to keep the
+/// generalising branch alive past the loop-exit range conditions.
+const MAX_FRONTIER: usize = 24;
+
+/// Maximum number of feasible extensions kept per partial solution and
+/// condition.
+const MAX_OPTIONS_PER_STEP: usize = 6;
 
 /// Statistics of a synthesis run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -237,14 +211,10 @@ pub struct Synthesis {
 /// # Errors
 ///
 /// Returns [`InvgenError::NoInvariant`] if no parameter valuation satisfies
-/// all conditions within the configured multiplier bounds, and
+/// all conditions within the multiplier bounds, and
 /// [`InvgenError::Unsupported`] for programs outside the supported fragment
 /// (e.g. two writes to a template array on one basic path).
-pub fn synthesize(
-    program: &Program,
-    templates: &TemplateMap,
-    config: &SynthConfig,
-) -> InvgenResult<Synthesis> {
+pub fn synthesize(program: &Program, templates: &TemplateMap) -> InvgenResult<Synthesis> {
     let implications = verification_conditions(program, templates)?;
     let mut stats = SynthStats { implications: implications.len(), ..Default::default() };
 
@@ -272,8 +242,8 @@ pub fn synthesize(
     let mut frontier: Vec<FrontierEntry> = vec![FrontierEntry::default()];
     for (idx, imp) in implications.iter().enumerate() {
         let pos = idx as u32;
-        let mut tiers = OptionTiers::new(imp, pos, config)?;
-        let next = advance_frontier(&frontier, &mut tiers, pos, config, &mut stats)?;
+        let mut tiers = OptionTiers::new(imp, pos)?;
+        let next = advance_frontier(&frontier, &mut tiers, pos, &mut stats)?;
         if next.is_empty() {
             return Err(InvgenError::no_invariant(format!(
                 "condition `{}` has no solution within the multiplier bounds",
@@ -371,8 +341,8 @@ enum CandidateOutcome {
     /// (`false` when the parent witness replayed, filter 3).
     Feasible(Box<FrontierEntry>, bool),
     /// Infeasible under the warm re-check; carries the minimal-conflict
-    /// decision dependencies when conflict learning is on.
-    Infeasible(Option<Deps>),
+    /// decision dependencies.
+    Infeasible(Deps),
 }
 
 /// Runs one candidate through the three filters and (when they pass) the
@@ -384,16 +354,12 @@ fn evaluate_candidate(
     pos: u32,
     opt_idx: u32,
     learned: &LearnedCores,
-    config: &SynthConfig,
 ) -> InvgenResult<CandidateOutcome> {
     // Filter 1: the conflict cores learned for this option.
-    if config.conflict_driven {
-        let covered = |core: &ConflictCore| {
-            core.iter().all(|&(p, o)| acc.decisions.get(p as usize) == Some(&o))
-        };
-        if learned.get(opt_idx as usize).is_some_and(|cores| cores.iter().any(covered)) {
-            return Ok(CandidateOutcome::CoveredByCore);
-        }
+    let covered =
+        |core: &ConflictCore| core.iter().all(|&(p, o)| acc.decisions.get(p as usize) == Some(&o));
+    if learned.get(opt_idx as usize).is_some_and(|cores| cores.iter().any(covered)) {
+        return Ok(CandidateOutcome::CoveredByCore);
     }
 
     // Rewrite the option rows through the branch's eliminated
@@ -418,19 +384,15 @@ fn evaluate_candidate(
     // Filter 2: presolve the batch (eliminating only unknowns the
     // tableau has never seen — eliminating a live column would
     // weaken the pushed rows).
-    let mut new_elims: Vec<(Unknown, LinExpr<Unknown>, Deps)> = Vec::new();
-    if config.presolve {
-        let presolved = presolve_tagged(rows, &|u| !acc.seen_vars.contains(u))?;
-        if let Some(conflict_deps) = presolved.conflict {
-            // Refuted by constant folding alone, without touching a tableau.
-            return Ok(CandidateOutcome::PresolveConflict(conflict_deps));
-        }
-        rows = presolved.rows;
-        new_elims = presolved.eliminated;
-        // Cross-batch dedup: rows already in the tableau are
-        // already enforced.
-        rows.retain(|(c, _)| !acc.seen_rows.contains(c));
+    let presolved = presolve_tagged(rows, &|u| !acc.seen_vars.contains(u))?;
+    if let Some(conflict_deps) = presolved.conflict {
+        // Refuted by constant folding alone, without touching a tableau.
+        return Ok(CandidateOutcome::PresolveConflict(conflict_deps));
     }
+    let mut rows = presolved.rows;
+    let new_elims = presolved.eliminated;
+    // Cross-batch dedup: rows already in the tableau are already enforced.
+    rows.retain(|(c, _)| !acc.seen_rows.contains(c));
 
     // Filter 3: witness replay on the reduced rows.
     let witness_holds = {
@@ -458,9 +420,6 @@ fn evaluate_candidate(
         // counters still include the attempt.
         stats::record_system_solved();
         if !tableau.check()? {
-            if !config.conflict_driven {
-                return Ok(CandidateOutcome::Infeasible(None));
-            }
             // The certificate's support is already an irreducible
             // infeasible subsystem (it is read off one conflict row over
             // independent slack columns); map its rows (in push order: the
@@ -472,7 +431,7 @@ fn evaluate_candidate(
                 let deps = if i < pushed { &acc.row_deps[i] } else { &rows[i - pushed].1 };
                 core_deps = union_deps(&core_deps, deps);
             }
-            return Ok(CandidateOutcome::Infeasible(Some(core_deps)));
+            return Ok(CandidateOutcome::Infeasible(core_deps));
         }
         tableau.model()?
     };
@@ -501,7 +460,7 @@ fn evaluate_candidate(
 ///
 /// Candidates are consumed best-first by `(score, parent, option)`, so a
 /// score tier's candidates all precede the next tier's, and the advance
-/// stops once the next frontier holds `max_frontier` entries.  The options
+/// stops once the next frontier holds [`MAX_FRONTIER`] entries.  The options
 /// are therefore encoded one tier at a time, and a tier is encoded only
 /// while the next frontier is still short: the tiers after the stopping
 /// point are never encoded at all.  Option indices, candidate order, and
@@ -510,13 +469,12 @@ fn advance_frontier(
     frontier: &[FrontierEntry],
     tiers: &mut OptionTiers,
     pos: u32,
-    config: &SynthConfig,
     stats: &mut SynthStats,
 ) -> InvgenResult<Vec<FrontierEntry>> {
     let mut next = Vec::new();
     let mut kept_per_parent = vec![0usize; frontier.len()];
     let mut learned = LearnedCores::new();
-    while next.len() < config.max_frontier {
+    while next.len() < MAX_FRONTIER {
         let Some(tier) = tiers.encode_next()? else {
             break;
         };
@@ -526,10 +484,10 @@ fn advance_frontier(
             .enumerate()
             .flat_map(|(parent, acc)| tier.clone().map(move |opt| (parent, acc, opt)));
         for (parent, acc, opt_idx) in candidates {
-            if next.len() >= config.max_frontier {
+            if next.len() >= MAX_FRONTIER {
                 break;
             }
-            if kept_per_parent[parent] >= config.max_options_per_step {
+            if kept_per_parent[parent] >= MAX_OPTIONS_PER_STEP {
                 continue;
             }
             // One cancellation poll per beam candidate — the poll
@@ -539,7 +497,7 @@ fn advance_frontier(
             stats.choices_explored += 1;
             stats::record_branch_explored();
             let opt = opt_idx as u32;
-            match evaluate_candidate(acc, &tiers.options[opt_idx], pos, opt, &learned, config)? {
+            match evaluate_candidate(acc, &tiers.options[opt_idx], pos, opt, &learned)? {
                 CandidateOutcome::CoveredByCore => {
                     stats.branches_pruned += 1;
                     stats::record_branch_pruned();
@@ -547,9 +505,7 @@ fn advance_frontier(
                 CandidateOutcome::PresolveConflict(deps) => {
                     stats.branches_pruned += 1;
                     stats::record_branch_pruned();
-                    if config.conflict_driven {
-                        learn_core(&mut learned, stats, &deps, &acc.decisions, pos, opt);
-                    }
+                    learn_core(&mut learned, stats, &deps, &acc.decisions, pos, opt);
                 }
                 CandidateOutcome::Feasible(child, used_lp) => {
                     if used_lp {
@@ -558,11 +514,9 @@ fn advance_frontier(
                     next.push(*child);
                     kept_per_parent[parent] += 1;
                 }
-                CandidateOutcome::Infeasible(core_deps) => {
+                CandidateOutcome::Infeasible(deps) => {
                     stats.lp_calls += 1;
-                    if let Some(deps) = core_deps {
-                        learn_core(&mut learned, stats, &deps, &acc.decisions, pos, opt);
-                    }
+                    learn_core(&mut learned, stats, &deps, &acc.decisions, pos, opt);
                 }
             }
         }
@@ -672,9 +626,8 @@ fn learn_core(
 /// in turn with one `seen` set appends exactly the options, at exactly the
 /// indices, that encoding every choice at once would.
 ///
-/// Each variant is [compiled](compile_variant) once, and with presolve
-/// enabled its concrete-row multipliers are Gaussian-eliminated once, on
-/// the compiled rows ([`eliminate_multipliers`]): those multipliers occur
+/// Each variant is [compiled](compile_variant) once, and its concrete-row
+/// multipliers are Gaussian-eliminated once, on the compiled rows ([`eliminate_multipliers`]): those multipliers occur
 /// nowhere else in the accumulated system, so the elimination is
 /// context-free and shared by every branch that considers the option.  A
 /// multiplier choice then costs one sparse combination per row plus
@@ -683,7 +636,6 @@ fn learn_core(
 /// option's, are dropped outright.
 struct OptionTiers {
     index: u32,
-    presolve: bool,
     /// The implication's variants (prove the consequent, prove the
     /// antecedent contradictory), compiled.
     variants: Vec<Vec<CompiledRow>>,
@@ -696,7 +648,7 @@ struct OptionTiers {
 }
 
 impl OptionTiers {
-    fn new(imp: &Implication, index: u32, config: &SynthConfig) -> InvgenResult<OptionTiers> {
+    fn new(imp: &Implication, index: u32) -> InvgenResult<OptionTiers> {
         let goals = match &imp.consequent {
             Consequent::Row(expr) => vec![Some(expr), None],
             Consequent::False => vec![None],
@@ -704,16 +656,13 @@ impl OptionTiers {
         let mut variants = Vec::with_capacity(goals.len());
         for goal in goals {
             let mut rows = compile_variant(imp, index, goal)?;
-            if config.presolve {
-                eliminate_multipliers(&mut rows)?;
-            }
+            eliminate_multipliers(&mut rows)?;
             variants.push(rows);
         }
         Ok(OptionTiers {
             index,
-            presolve: config.presolve,
             variants,
-            choices: multiplier_choices(&imp.parametric, config).into_iter().peekable(),
+            choices: multiplier_choices(&imp.parametric).into_iter().peekable(),
             seen: HashSet::new(),
             options: Vec::new(),
         })
@@ -740,10 +689,6 @@ impl OptionTiers {
                 .iter()
                 .map(|row| row.instantiate(lambda))
                 .collect::<InvgenResult<Vec<_>>>()?;
-            if !self.presolve {
-                self.options.push(rows);
-                continue;
-            }
             let tagged = rows.into_iter().map(|c| (c, vec![self.index])).collect();
             // The multipliers are already eliminated: only the fold is left.
             let presolved = presolve_tagged(tagged, &|_| false)?;
@@ -769,7 +714,7 @@ impl OptionTiers {
 /// **Order** (fully deterministic, independent of platform and worker
 /// count): ascending by the number of non-zero multipliers, ties broken
 /// lexicographically by each row's *candidate index* (its position in
-/// `ineq_multipliers`/`eq_multipliers`), rows compared left to right.
+/// [`INEQ_MULTIPLIERS`]/[`EQ_MULTIPLIERS`]), rows compared left to right.
 /// Best-first traversal of the frontier relies on this order being total,
 /// and [`OptionTiers`] on the non-zero count being its primary key.
 ///
@@ -781,7 +726,7 @@ impl OptionTiers {
 ///   across each identical-row group are kept;
 /// * *dominated (zero) rows* — a row whose expression is identically zero
 ///   contributes `λ·0` for any `λ`; it is pinned to its first candidate.
-fn multiplier_choices(rows: &[ParamRow], config: &SynthConfig) -> Vec<Vec<Rat>> {
+fn multiplier_choices(rows: &[ParamRow]) -> Vec<Vec<Rat>> {
     // First identical row (the group leader) per row, if any.
     let leader: Vec<Option<usize>> = rows
         .iter()
@@ -797,8 +742,8 @@ fn multiplier_choices(rows: &[ParamRow], config: &SynthConfig) -> Vec<Vec<Rat>> 
     let mut choices: Vec<Vec<usize>> = vec![Vec::new()];
     for (j, row) in rows.iter().enumerate() {
         let candidates = match row.op {
-            RowOp::Le => &config.ineq_multipliers,
-            RowOp::Eq => &config.eq_multipliers,
+            RowOp::Le => &INEQ_MULTIPLIERS,
+            RowOp::Eq => &EQ_MULTIPLIERS,
         };
         let mut next = Vec::with_capacity(choices.len() * candidates.len());
         for prefix in &choices {
@@ -820,8 +765,8 @@ fn multiplier_choices(rows: &[ParamRow], config: &SynthConfig) -> Vec<Vec<Rat>> 
         choices = next;
     }
     let value = |j: usize, c: usize| match rows[j].op {
-        RowOp::Le => config.ineq_multipliers[c],
-        RowOp::Eq => config.eq_multipliers[c],
+        RowOp::Le => INEQ_MULTIPLIERS[c],
+        RowOp::Eq => EQ_MULTIPLIERS[c],
     };
     choices.sort_by_key(|v| {
         let nonzeros = v.iter().enumerate().filter(|&(j, &c)| !value(j, c).is_zero()).count();
@@ -1360,7 +1305,7 @@ mod tests {
             [Symbol::intern("i"), Symbol::intern("n"), Symbol::intern("a"), Symbol::intern("b")];
         templates.add_scalar_row(l1, &vars, RowOp::Eq).unwrap();
         templates.add_scalar_row(l1, &vars, RowOp::Le).unwrap();
-        let result = synthesize(&p, &templates, &SynthConfig::default()).unwrap();
+        let result = synthesize(&p, &templates).unwrap();
         let inv = &result.invariants[&l1];
         // The synthesised invariant must be strong enough to prove the
         // assertion: together with i >= n it must force a + b = 3n.  We check
@@ -1382,7 +1327,7 @@ mod tests {
         let vars =
             [Symbol::intern("i"), Symbol::intern("n"), Symbol::intern("a"), Symbol::intern("b")];
         templates.add_scalar_row(l1, &vars, RowOp::Eq).unwrap();
-        let err = synthesize(&p, &templates, &SynthConfig::default()).unwrap_err();
+        let err = synthesize(&p, &templates).unwrap_err();
         assert!(matches!(err, InvgenError::NoInvariant { .. }));
     }
 
@@ -1396,7 +1341,7 @@ mod tests {
         let a = Symbol::intern("a");
         templates.add_array_row(l1, a, &scalars, RelOp::Eq).unwrap();
         templates.add_array_row(l3, a, &scalars, RelOp::Eq).unwrap();
-        let result = synthesize(&p, &templates, &SynthConfig::default()).unwrap();
+        let result = synthesize(&p, &templates).unwrap();
         let inv1 = &result.invariants[&l1];
         let inv3 = &result.invariants[&l3];
         assert!(inv1.has_quantifier(), "expected a quantified invariant at L1, got {inv1}");
@@ -1426,7 +1371,7 @@ mod tests {
         let mut templates = TemplateMap::new();
         let scalars = [Symbol::intern("i")];
         templates.add_array_row(l1, Symbol::intern("a"), &scalars, RelOp::Eq).unwrap();
-        let err = synthesize(&p, &templates, &SynthConfig::default());
+        let err = synthesize(&p, &templates);
         assert!(err.is_err(), "the buggy INITCHECK variant must not admit a safe invariant map");
     }
 
@@ -1442,9 +1387,8 @@ mod tests {
         // Distinct rows, no pruning: the order is (non-zero count
         // ascending, then lexicographic by candidate index).  For one Le
         // row (candidates 0, 1, 2) and one Eq row (candidates -1, 0, 1):
-        let config = SynthConfig::default();
         let rows = vec![param_row(0, RowOp::Le), param_row(1, RowOp::Eq)];
-        let choices = multiplier_choices(&rows, &config);
+        let choices = multiplier_choices(&rows);
         assert_eq!(choices.len(), 9);
         // All-zero first, then one non-zero in index order, then two.
         assert_eq!(choices[0], vec![Rat::ZERO, Rat::ZERO]);
@@ -1467,11 +1411,10 @@ mod tests {
         // Two identical Le rows: only index-non-decreasing choices survive
         // (6 of the raw 9), and the encoded systems lose nothing — every
         // pruned choice is a permutation of a kept one.
-        let config = SynthConfig::default();
         let rows = vec![param_row(0, RowOp::Le), param_row(0, RowOp::Le)];
-        let choices = multiplier_choices(&rows, &config);
+        let choices = multiplier_choices(&rows);
         assert_eq!(choices.len(), 6, "{choices:?}");
-        let idx_of = |r: &Rat| config.ineq_multipliers.iter().position(|c| c == r).unwrap();
+        let idx_of = |r: &Rat| INEQ_MULTIPLIERS.iter().position(|c| c == r).unwrap();
         for v in &choices {
             assert!(idx_of(&v[0]) <= idx_of(&v[1]), "not canonical: {v:?}");
         }
@@ -1479,95 +1422,30 @@ mod tests {
 
     #[test]
     fn zero_rows_are_pinned() {
-        let config = SynthConfig::default();
         let rows = vec![
             ParamRow { expr: ParamLin::zero(), op: RowOp::Le },
             ParamRow { expr: ParamLin::zero(), op: RowOp::Eq },
         ];
-        let choices = multiplier_choices(&rows, &config);
+        let choices = multiplier_choices(&rows);
         assert_eq!(choices, vec![vec![Rat::ZERO, Rat::ZERO]]);
-    }
-
-    #[test]
-    fn ablation_flags_reproduce_the_same_invariants_workload() {
-        // Presolve and conflict-driven pruning change how much work the
-        // search does, never whether it succeeds: FORWARD synthesises an
-        // invariant under every flag combination, and the buggy variant
-        // fails under every combination.
-        let p = corpus::forward();
-        let l1 = corpus::find_loc(&p, "L1");
-        for (presolve, conflict_driven) in
-            [(true, true), (true, false), (false, true), (false, false)]
-        {
-            let config = SynthConfig { presolve, conflict_driven, ..SynthConfig::default() };
-            let mut templates = TemplateMap::new();
-            let vars = [
-                Symbol::intern("i"),
-                Symbol::intern("n"),
-                Symbol::intern("a"),
-                Symbol::intern("b"),
-            ];
-            templates.add_scalar_row(l1, &vars, RowOp::Eq).unwrap();
-            templates.add_scalar_row(l1, &vars, RowOp::Le).unwrap();
-            let result = synthesize(&p, &templates, &config)
-                .unwrap_or_else(|e| panic!("presolve={presolve} cdcl={conflict_driven}: {e}"));
-            let inv = &result.invariants[&l1];
-            let solver = pathinv_smt::Solver::new();
-            let claim = Formula::eq(
-                pathinv_ir::Term::var("a").add(pathinv_ir::Term::var("b")),
-                pathinv_ir::Term::int(3).mul(pathinv_ir::Term::var("i")),
-            );
-            assert!(
-                solver.entails(inv, &claim).unwrap(),
-                "presolve={presolve} cdcl={conflict_driven}: invariant {inv} too weak"
-            );
-        }
-        let buggy = corpus::buggy_initcheck();
-        let l1 = corpus::find_loc(&buggy, "L1");
-        for (presolve, conflict_driven) in [(true, true), (false, false)] {
-            let config = SynthConfig { presolve, conflict_driven, ..SynthConfig::default() };
-            let mut templates = TemplateMap::new();
-            templates
-                .add_array_row(l1, Symbol::intern("a"), &[Symbol::intern("i")], RelOp::Eq)
-                .unwrap();
-            assert!(
-                synthesize(&buggy, &templates, &config).is_err(),
-                "presolve={presolve} cdcl={conflict_driven}: buggy variant must fail"
-            );
-        }
     }
 
     #[test]
     fn conflict_driven_search_prunes_branches_on_failing_systems() {
         // The buggy INITCHECK variant exercises the unsat path heavily:
-        // the conflict-driven search must learn cores and prune branches
-        // the enumerative baseline pays LP calls for.
+        // the search must learn conflict cores and prune branches with them.
         let p = corpus::buggy_initcheck();
         let l1 = corpus::find_loc(&p, "L1");
-        let templates = || {
-            let mut t = TemplateMap::new();
-            t.add_array_row(l1, Symbol::intern("a"), &[Symbol::intern("i")], RelOp::Eq).unwrap();
-            t
-        };
-        let run = |conflict_driven: bool| {
-            let config = SynthConfig { conflict_driven, ..SynthConfig::default() };
-            let before = crate::stats::snapshot();
-            let err = synthesize(&p, &templates(), &config).unwrap_err();
-            assert!(matches!(err, InvgenError::NoInvariant { .. }));
-            crate::stats::snapshot().since(&before)
-        };
-        let enumerative = run(false);
-        let driven = run(true);
-        assert_eq!(enumerative.cores_learned, 0);
-        assert_eq!(enumerative.branches_pruned, 0);
+        let mut templates = TemplateMap::new();
+        templates
+            .add_array_row(l1, Symbol::intern("a"), &[Symbol::intern("i")], RelOp::Eq)
+            .unwrap();
+        let before = crate::stats::snapshot();
+        let err = synthesize(&p, &templates).unwrap_err();
+        assert!(matches!(err, InvgenError::NoInvariant { .. }));
+        let driven = crate::stats::snapshot().since(&before);
         assert!(driven.cores_learned > 0, "{driven:?}");
         assert!(driven.branches_pruned > 0, "{driven:?}");
-        assert!(
-            driven.systems_solved < enumerative.systems_solved,
-            "conflict cores must save LP work: {} vs {}",
-            driven.systems_solved,
-            enumerative.systems_solved
-        );
     }
 
     /// FORWARD, INITCHECK, and BUGGY_INITCHECK with the templates the
@@ -1711,24 +1589,16 @@ mod tests {
     /// Every option the reference encoder yields for `imp`: each multiplier
     /// choice's variants, presolved from scratch (multiplier elimination
     /// included) and deduplicated in choice order.
-    fn reference_options(
-        imp: &Implication,
-        index: u32,
-        config: &SynthConfig,
-    ) -> Vec<Vec<LinConstraint<Unknown>>> {
+    fn reference_options(imp: &Implication, index: u32) -> Vec<Vec<LinConstraint<Unknown>>> {
         let mut seen = HashSet::new();
         let mut options = Vec::new();
-        for lambda in multiplier_choices(&imp.parametric, config) {
+        for lambda in multiplier_choices(&imp.parametric) {
             let goals = match &imp.consequent {
                 Consequent::Row(expr) => vec![Some(expr), None],
                 Consequent::False => vec![None],
             };
             for goal in goals {
                 let rows = encode_implication(imp, index, &lambda, goal).unwrap();
-                if !config.presolve {
-                    options.push(rows);
-                    continue;
-                }
                 let tagged = rows.into_iter().map(|c| (c, vec![index])).collect();
                 let presolved =
                     presolve_tagged(tagged, &|u| matches!(u, Unknown::Mu { .. })).unwrap();
@@ -1745,20 +1615,11 @@ mod tests {
     }
 
     /// Asserts that `OptionTiers`, run through every tier, yields exactly the
-    /// reference options (same rows, same row order, same option indices),
-    /// with presolve on and off.
+    /// reference options (same rows, same row order, same option indices).
     fn assert_encoders_agree(imp: &Implication, index: u32) {
-        for presolve in [true, false] {
-            let config = SynthConfig { presolve, ..SynthConfig::default() };
-            let mut tiers = OptionTiers::new(imp, index, &config).unwrap();
-            while tiers.encode_next().unwrap().is_some() {}
-            assert_eq!(
-                tiers.options,
-                reference_options(imp, index, &config),
-                "{} (presolve {presolve})",
-                imp.label
-            );
-        }
+        let mut tiers = OptionTiers::new(imp, index).unwrap();
+        while tiers.encode_next().unwrap().is_some() {}
+        assert_eq!(tiers.options, reference_options(imp, index), "{}", imp.label);
     }
 
     #[test]
@@ -1877,7 +1738,7 @@ mod tests {
             assert_eq!(name, pinned);
             let smt_before = pathinv_smt::stats_snapshot();
             let synth_before = crate::stats::snapshot();
-            let result = synthesize(&program, &templates, &SynthConfig::default());
+            let result = synthesize(&program, &templates);
             let smt = pathinv_smt::stats_snapshot().since(&smt_before);
             let c = crate::stats::snapshot().since(&synth_before);
             let live = [c.systems_solved, c.branches_explored, c.branches_pruned, c.cores_learned];
@@ -1916,15 +1777,14 @@ mod tests {
         // The advance stops once the next frontier fills; the tiers after
         // that point must never have been encoded.
         let (_, program, templates) = pinned_cases().swap_remove(0);
-        let config = SynthConfig::default();
         let mut frontier = vec![FrontierEntry::default()];
         let mut stats = SynthStats::default();
         let mut cut_short = 0;
         for (idx, imp) in verification_conditions(&program, &templates).unwrap().iter().enumerate()
         {
             let pos = idx as u32;
-            let mut tiers = OptionTiers::new(imp, pos, &config).unwrap();
-            frontier = advance_frontier(&frontier, &mut tiers, pos, &config, &mut stats).unwrap();
+            let mut tiers = OptionTiers::new(imp, pos).unwrap();
+            frontier = advance_frontier(&frontier, &mut tiers, pos, &mut stats).unwrap();
             assert!(!frontier.is_empty(), "{}", imp.label);
             if tiers.encode_next().unwrap().is_some() {
                 cut_short += 1;
@@ -1947,7 +1807,7 @@ mod tests {
         let token = pathinv_smt::CancellationToken::new();
         token.cancel();
         let _ambient = token.install();
-        let err = synthesize(&p, &templates, &SynthConfig::default()).unwrap_err();
+        let err = synthesize(&p, &templates).unwrap_err();
         assert!(
             matches!(err, InvgenError::Smt(pathinv_smt::SmtError::Cancelled)),
             "expected cancellation, got {err:?}"

@@ -63,8 +63,10 @@ pub use pathinv_core::{refiner_name, NO_REFINER};
 /// golden task layouts are unchanged.  Within version 9, `solver_calls`
 /// narrowed to cold combined-solver checks once the solver context decided
 /// linear queries on its live tableau (those count as
-/// `simplex_warm_checks`); the layout is unchanged.
-pub const SCHEMA_VERSION: i64 = 9;
+/// `simplex_warm_checks`); the layout is unchanged.  Version 10 removed
+/// the abstract-post memo: `post_cache_hits` left the batch and golden task
+/// layouts, and the cubes it answered now count as `query_cache_hits`.
+pub const SCHEMA_VERSION: i64 = 10;
 
 /// The deterministic ordering of engine columns in reports and in the
 /// differential combination: CEGAR first (path invariants before the
@@ -191,7 +193,6 @@ impl TaskReport {
             ("smt_queries", Json::Int(s.smt_queries as i64)),
             ("query_cache_hits", Json::Int(s.query_cache_hits as i64)),
             ("post_queries", Json::Int(s.post_queries as i64)),
-            ("post_cache_hits", Json::Int(s.post_cache_hits as i64)),
             ("query_hit_rate", Json::Float(round3(s.query_hit_rate()))),
             ("engine_depth", Json::Int(s.engine_depth as i64)),
             ("engine_nodes", Json::Int(s.engine_nodes as i64)),
@@ -240,7 +241,6 @@ impl TaskReport {
             ("simplex_warm_checks", Json::Int(self.stats.simplex_warm_checks as i64)),
             ("interpolant_calls", Json::Int(self.stats.interpolant_calls as i64)),
             ("query_cache_hits", Json::Int(self.stats.query_cache_hits as i64)),
-            ("post_cache_hits", Json::Int(self.stats.post_cache_hits as i64)),
             ("engine_depth", Json::Int(self.stats.engine_depth as i64)),
             ("engine_nodes", Json::Int(self.stats.engine_nodes as i64)),
             ("engine_lemmas", Json::Int(self.stats.engine_lemmas as i64)),

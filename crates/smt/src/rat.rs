@@ -21,10 +21,10 @@ pub struct Rat {
     den: i128,
 }
 
-/// The non-negative greatest common divisor of `|a|` and `|b|` (zero only
-/// when both are zero).
-pub fn gcd(a: i128, b: i128) -> i128 {
-    let (mut a, mut b) = (a.abs(), b.abs());
+/// The greatest common divisor of two magnitudes (zero only when both are
+/// zero).  Callers pass `i128::unsigned_abs` values, so `i128::MIN`'s
+/// magnitude `2¹²⁷` is representable.
+pub fn gcd(mut a: u128, mut b: u128) -> u128 {
     while b != 0 {
         let t = a % b;
         a = b;
@@ -33,14 +33,15 @@ pub fn gcd(a: i128, b: i128) -> i128 {
     a
 }
 
-/// The non-negative least common multiple of `a` and `b` (zero when both
-/// are zero), or `None` on overflow.
+/// The non-negative least common multiple of `a` and `b` (zero when either
+/// is zero), or `None` when it does not fit in `i128`.
 pub fn checked_lcm(a: i128, b: i128) -> Option<i128> {
+    let (a, b) = (a.unsigned_abs(), b.unsigned_abs());
     let g = gcd(a, b);
     if g == 0 {
         return Some(0);
     }
-    (a / g).checked_mul(b).and_then(i128::checked_abs)
+    (a / g).checked_mul(b).and_then(|m| i128::try_from(m).ok())
 }
 
 impl Rat {
@@ -56,22 +57,27 @@ impl Rat {
     /// # Errors
     ///
     /// Returns [`SmtError::Overflow`] if `den` is zero (treated as a malformed
-    /// input) or normalisation overflows.
+    /// input) or the reduced fraction does not fit in `i128` (`i128::MIN /
+    /// -1`, say, is `2¹²⁷`).
     pub fn new(num: i128, den: i128) -> SmtResult<Rat> {
         if den == 0 {
             return Err(SmtError::Overflow);
         }
-        let g = gcd(num, den);
-        let (mut num, mut den) = if g == 0 { (0, 1) } else { (num / g, den / g) };
-        if den < 0 {
-            num = num.checked_neg().ok_or(SmtError::Overflow)?;
-            den = den.checked_neg().ok_or(SmtError::Overflow)?;
-        }
-        Ok(Rat { num, den })
+        // Reduce the magnitudes, where `i128::MIN` cannot overflow, then
+        // put the sign on the numerator.
+        let (n, d) = (num.unsigned_abs(), den.unsigned_abs());
+        let g = gcd(n, d);
+        let num = if (num < 0) != (den < 0) {
+            0i128.checked_sub_unsigned(n / g)
+        } else {
+            i128::try_from(n / g).ok()
+        };
+        let den = i128::try_from(d / g).ok();
+        num.zip(den).map(|(num, den)| Rat { num, den }).ok_or(SmtError::Overflow)
     }
 
     /// Creates the rational `n / 1`.
-    pub fn int(n: i128) -> Rat {
+    pub const fn int(n: i128) -> Rat {
         Rat { num: n, den: 1 }
     }
 

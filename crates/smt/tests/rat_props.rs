@@ -75,6 +75,22 @@ proptest! {
     }
 }
 
+/// `i128::MIN` has no `i128` magnitude: reduction works on `u128`
+/// magnitudes, so a fraction that reduces into range is returned and one
+/// that does not is an overflow error, never a panic or a wrapped value.
+#[test]
+fn new_reduces_i128_min_without_overflowing() {
+    let half = Rat::new(i128::MIN, 2).unwrap();
+    assert_eq!((half.numer(), half.denom()), (i128::MIN / 2, 1));
+    assert!(Rat::new(i128::MIN, -1).is_err(), "2^127 does not fit in i128");
+    assert_eq!(Rat::new(i128::MIN, i128::MIN).unwrap(), Rat::ONE);
+    let tiny = Rat::new(2, i128::MIN).unwrap();
+    assert_eq!((tiny.numer(), tiny.denom()), (-1, 1 << 126));
+    assert!(Rat::new(1, i128::MIN).is_err(), "a denominator of 2^127 does not fit");
+    assert_eq!(pathinv_smt::checked_lcm(i128::MIN, 2), None);
+    assert_eq!(pathinv_smt::checked_lcm(i128::MIN / 2, 2), Some(1 << 126));
+}
+
 fn gcd(a: i128, b: i128) -> i128 {
     let (mut a, mut b) = (a.max(1), b);
     while b != 0 {

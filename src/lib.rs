@@ -34,7 +34,7 @@ pub use pathinv_core::{
 };
 pub use pathinv_invgen::{
     interval_analyze, GeneratedInvariants, InvariantMap, InvgenError, PathInvariantGenerator,
-    SynthConfig, TemplateMap,
+    TemplateMap,
 };
 pub use pathinv_ir::{
     corpus, parse_program, Action, Formula, IrError, Loc, Path, Program, ProgramBuilder, RelOp,
