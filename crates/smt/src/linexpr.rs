@@ -276,8 +276,8 @@ impl<K: Ord + Clone + fmt::Display> fmt::Display for LinExpr<K> {
             if first {
                 write!(f, "{c}*{x}")?;
                 first = false;
-            } else if c.is_negative() {
-                write!(f, " - {}*{x}", c.abs())?;
+            } else if let Some(m) = c.abs().ok().filter(|_| c.is_negative()) {
+                write!(f, " - {m}*{x}")?;
             } else {
                 write!(f, " + {c}*{x}")?;
             }
@@ -285,8 +285,9 @@ impl<K: Ord + Clone + fmt::Display> fmt::Display for LinExpr<K> {
         if first {
             write!(f, "{}", self.constant)?;
         } else if !self.constant.is_zero() {
-            if self.constant.is_negative() {
-                write!(f, " - {}", self.constant.abs())?;
+            // `i128::MIN` has no magnitude, so it prints as `+ -2¹²⁷`.
+            if let Some(m) = self.constant.abs().ok().filter(|_| self.constant.is_negative()) {
+                write!(f, " - {m}")?;
             } else {
                 write!(f, " + {}", self.constant)?;
             }
@@ -536,6 +537,15 @@ mod tests {
         assert!(s.contains("- 2*y"));
         assert!(s.contains("+ 7"));
         assert_eq!(LinExpr::<VarRef>::constant(Rat::int(3)).to_string(), "3");
+    }
+
+    #[test]
+    fn display_of_i128_min_adds_the_negative_value() {
+        let mut e: LinExpr<String> = LinExpr::constant(Rat::int(i128::MIN));
+        e.add_term("p".to_string(), Rat::ONE).unwrap();
+        e.add_term("q".to_string(), Rat::int(i128::MIN)).unwrap();
+        let min = i128::MIN;
+        assert_eq!(e.to_string(), format!("1*p + {min}*q + {min}"));
     }
 
     #[test]

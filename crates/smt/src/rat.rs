@@ -153,7 +153,8 @@ impl Rat {
     ///
     /// Fast paths: multiplication by zero or ±1 short-circuits, and two
     /// integers multiply without gcd normalisation (a product of integers
-    /// is already in lowest terms over denominator 1).
+    /// is already in lowest terms over denominator 1).  Two integers that
+    /// fit in `i64` take one widening multiply, which cannot overflow.
     pub fn mul(self, other: Rat) -> SmtResult<Rat> {
         if self.num == 0 || other.num == 0 {
             return Ok(Rat::ZERO);
@@ -165,6 +166,9 @@ impl Rat {
             return Ok(self);
         }
         if self.den == 1 && other.den == 1 {
+            if let (Ok(a), Ok(b)) = (i64::try_from(self.num), i64::try_from(other.num)) {
+                return Ok(Rat { num: i128::from(a) * i128::from(b), den: 1 });
+            }
             let num = self.num.checked_mul(other.num).ok_or(SmtError::Overflow)?;
             return Ok(Rat { num, den: 1 });
         }
@@ -202,12 +206,21 @@ impl Rat {
     }
 
     /// Absolute value.
-    pub fn abs(self) -> Rat {
-        Rat { num: self.num.abs(), den: self.den }
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SmtError::Overflow`] for `i128::MIN`, whose magnitude
+    /// `2¹²⁷` does not fit.
+    pub fn abs(self) -> SmtResult<Rat> {
+        Ok(Rat { num: self.num.checked_abs().ok_or(SmtError::Overflow)?, den: self.den })
     }
 
-    /// Compares two rationals exactly.
+    /// Compares two rationals exactly.  Equal denominators (two integers,
+    /// say) compare their numerators without cross-multiplying.
     pub fn compare(self, other: Rat) -> SmtResult<Ordering> {
+        if self.den == other.den {
+            return Ok(self.num.cmp(&other.num));
+        }
         let l = self.num.checked_mul(other.den).ok_or(SmtError::Overflow)?;
         let r = other.num.checked_mul(self.den).ok_or(SmtError::Overflow)?;
         Ok(l.cmp(&r))
@@ -218,9 +231,11 @@ impl Rat {
         self.num.div_euclid(self.den)
     }
 
-    /// The ceiling of the rational as an integer.
+    /// The ceiling of the rational as an integer.  It never negates the
+    /// numerator, so `i128::MIN` is its own ceiling.
     pub fn ceil(self) -> i128 {
-        -((-self.num).div_euclid(self.den))
+        // A proper fraction's floor is below `i128::MAX`, so `+ 1` fits.
+        self.floor() + i128::from(self.num.rem_euclid(self.den) != 0)
     }
 }
 
@@ -396,6 +411,27 @@ mod tests {
         let big = Rat::int(i128::MAX);
         assert_eq!(big.add(Rat::ONE), Err(SmtError::Overflow));
         assert_eq!(big.mul(Rat::int(2)), Err(SmtError::Overflow));
+    }
+
+    #[test]
+    fn abs_reports_the_unrepresentable_magnitude() {
+        assert_eq!(Rat::new(-7, 2).unwrap().abs(), Ok(Rat::new(7, 2).unwrap()));
+        assert_eq!(Rat::int(5).abs(), Ok(Rat::int(5)));
+        assert_eq!(Rat::int(i128::MIN + 1).abs(), Ok(Rat::int(i128::MAX)));
+        assert_eq!(Rat::int(i128::MIN).abs(), Err(SmtError::Overflow));
+    }
+
+    #[test]
+    fn ceil_and_floor_of_the_extremes() {
+        assert_eq!(Rat::int(i128::MIN).ceil(), i128::MIN);
+        assert_eq!(Rat::int(i128::MIN).floor(), i128::MIN);
+        assert_eq!(Rat::int(i128::MAX).ceil(), i128::MAX);
+        let half_min = Rat::new(i128::MIN + 1, 2).unwrap();
+        assert_eq!(half_min.ceil(), i128::MIN / 2 + 1);
+        assert_eq!(half_min.floor(), i128::MIN / 2);
+        let half_max = Rat::new(i128::MAX, 2).unwrap();
+        assert_eq!(half_max.ceil(), i128::MAX / 2 + 1);
+        assert_eq!(half_max.floor(), i128::MAX / 2);
     }
 
     #[test]

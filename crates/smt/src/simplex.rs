@@ -14,7 +14,7 @@
 
 use crate::error::{SmtError, SmtResult};
 use crate::linexpr::{ConstrOp, LinConstraint, LinExpr};
-use crate::rat::{DeltaRat, Rat};
+use crate::rat::{gcd, DeltaRat, Rat};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::rc::Rc;
@@ -137,36 +137,105 @@ struct ActiveConstraint<K: Ord + Clone> {
     slack: usize,
 }
 
-/// A sparse tableau row: `(column, coefficient)` pairs in strictly
-/// ascending column order, non-zero coefficients only.
-type Row = Vec<(usize, Rat)>;
-
-/// The coefficient of column `col` in `row` (zero when absent).
-fn coeff_at(row: &[(usize, Rat)], col: usize) -> Rat {
-    row.binary_search_by_key(&col, |&(k, _)| k).map_or(Rat::ZERO, |i| row[i].1)
+/// A fraction-free sparse tableau row `Σ (n / den) · x_col`: integer
+/// numerators `(column, n)` in strictly ascending column order, non-zero
+/// only, over one positive denominator, with the gcd of every numerator
+/// and the denominator equal to 1.  Each rational row has exactly one such
+/// form, so the rows of two tableaux agree exactly when their rational
+/// coefficients do.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Row {
+    den: i128,
+    entries: Vec<(usize, i128)>,
 }
 
-/// `row + c · other` by a sorted merge that drops exact zeros.  Each entry
-/// of `other` costs one `row[k].add(c.mul(other[k]))`, in ascending column
-/// order — the arithmetic of the dense update, minus its zero entries.
-fn add_scaled(row: &[(usize, Rat)], c: Rat, other: &[(usize, Rat)]) -> SmtResult<Row> {
-    let mut out = Vec::with_capacity(row.len() + other.len());
-    let mut rest = row.iter().copied().peekable();
-    for &(k, b) in other {
-        while let Some(entry) = rest.next_if(|&(l, _)| l < k) {
-            out.push(entry);
+impl Row {
+    /// The row `1 · x_col` of a non-basic column.
+    fn unit(col: usize) -> Row {
+        Row { den: 1, entries: vec![(col, 1)] }
+    }
+
+    /// The numerator of column `col` (zero when absent).
+    fn num_at(&self, col: usize) -> i128 {
+        self.entries.binary_search_by_key(&col, |&(k, _)| k).map_or(0, |i| self.entries[i].1)
+    }
+
+    /// The coefficient whose numerator is `num`, as a `Rat`.
+    fn coeff(&self, num: i128) -> SmtResult<Rat> {
+        Rat::new(num, self.den)
+    }
+
+    /// `self + c · other`.  For `self = A/D`, `c = p/q` and `other = B/E`,
+    /// the term `p·B/(q·E)` first cancels `gcd(p, E)`, which leaves
+    /// `p'·B/(q·E')`; then both sides go over the least common multiple of
+    /// `D` and `q·E'`.
+    fn add_scaled(&self, c: Rat, other: &Row) -> SmtResult<Row> {
+        let g = gcd(c.numer().unsigned_abs(), other.den.unsigned_abs()) as i128;
+        let (p, q) = (c.numer() / g, c.denom());
+        let qe = q.checked_mul(other.den / g).ok_or(SmtError::Overflow)?;
+        let h = gcd(self.den.unsigned_abs(), qe.unsigned_abs()) as i128;
+        let fb = p.checked_mul(self.den / h).ok_or(SmtError::Overflow)?;
+        let den = self.den.checked_mul(qe / h).ok_or(SmtError::Overflow)?;
+        merge(&self.entries, usize::MAX, qe / h, &other.entries, fb, den)
+    }
+
+    /// `self` with its entry at index `i` (column `j`, numerator `m`)
+    /// replaced by `m / den · row_j`, where `row_j` expresses `x_j`:
+    /// `(r_k·Q + m·P_k) / (den·Q)`, with `gcd(m, Q)` cancelled first.
+    fn substitute(&self, i: usize, row_j: &Row) -> SmtResult<Row> {
+        let (j, m) = self.entries[i];
+        let g = gcd(m.unsigned_abs(), row_j.den.unsigned_abs()) as i128;
+        let fa = row_j.den / g;
+        let den = self.den.checked_mul(fa).ok_or(SmtError::Overflow)?;
+        merge(&self.entries, j, fa, &row_j.entries, m / g, den)
+    }
+}
+
+/// The row `(fa·a + fb·b) / den` by a sorted merge that drops exact zeros
+/// and column `skip` of `a` (`usize::MAX` skips none), then divides out
+/// the gcd of the numerators and `den` (positive); the gcd pass stops as
+/// soon as it reaches 1.
+fn merge(
+    a: &[(usize, i128)],
+    skip: usize,
+    fa: i128,
+    b: &[(usize, i128)],
+    fb: i128,
+    mut den: i128,
+) -> SmtResult<Row> {
+    let scale = |n: i128, f: i128| n.checked_mul(f).ok_or(SmtError::Overflow);
+    let mut entries = Vec::with_capacity(a.len() + b.len());
+    let mut rest = a.iter().copied().filter(|&(l, _)| l != skip).peekable();
+    for &(k, nb) in b {
+        while let Some((l, na)) = rest.next_if(|&(l, _)| l < k) {
+            entries.push((l, scale(na, fa)?));
         }
-        let term = c.mul(b)?;
+        let term = scale(nb, fb)?;
         let sum = match rest.next_if(|&(l, _)| l == k) {
-            Some((_, a)) => a.add(term)?,
+            Some((_, na)) => scale(na, fa)?.checked_add(term).ok_or(SmtError::Overflow)?,
             None => term,
         };
-        if !sum.is_zero() {
-            out.push((k, sum));
+        if sum != 0 {
+            entries.push((k, sum));
         }
     }
-    out.extend(rest);
-    Ok(out)
+    for (l, na) in rest {
+        entries.push((l, scale(na, fa)?));
+    }
+    let mut g = den.unsigned_abs();
+    for &(_, n) in &entries {
+        if g == 1 {
+            break;
+        }
+        g = gcd(g, n.unsigned_abs());
+    }
+    if g > 1 {
+        // `g` divides `den`, so it fits.
+        let g = g as i128;
+        entries.iter_mut().for_each(|e| e.1 /= g);
+        den /= g;
+    }
+    Ok(Row { den, entries })
 }
 
 /// An incremental simplex solver with constraint push/pop and warm-started
@@ -184,13 +253,16 @@ fn add_scaled(row: &[(usize, Rat)], c: Rat, other: &[(usize, Rat)]) -> SmtResult
 /// cold tableau constructions in
 /// [`SmtStats::simplex_calls`](crate::SmtStats).
 ///
-/// Rows are sparse and constraint expressions are shared, so cloning a
-/// tableau (the synthesis beam clones one per candidate extension) copies
-/// only the non-zero coefficients and bumps one reference count per active
-/// constraint.  Sparsity changes no result: Bland's rule scans a row's
-/// entries in column order, so it picks the same pivot a scan over every
-/// column would, and each surviving coefficient is computed by the same
-/// exact operations as in a dense tableau.
+/// Rows are sparse and fraction-free (integer numerators over one row
+/// denominator), and every row, the variable index and every constraint
+/// expression sit behind an `Rc`.  Cloning a tableau (the synthesis beam
+/// clones one per candidate extension) therefore copies only the
+/// per-column bound and value vectors and bumps reference counts; a pivot
+/// rebuilds just the rows that mention its entering column.  The
+/// representation changes no result: each row is the unique fraction-free
+/// form of the same rational row, so Bland's rule reads the same signs and
+/// picks the same pivots, and basic values, certificates and models are
+/// computed from the same `Rat` coefficients.
 ///
 /// Answers are identical to a cold solve of the active constraint set: the
 /// arithmetic is exact, so only the number of pivots — never the verdict —
@@ -200,8 +272,8 @@ fn add_scaled(row: &[(usize, Rat)], c: Rat, other: &[(usize, Rat)]) -> SmtResult
 /// [`take_certificate`](IncrementalSimplex::take_certificate).
 #[derive(Clone, Debug)]
 pub struct IncrementalSimplex<K: Ord + Clone> {
-    /// Column of each problem variable.
-    index: BTreeMap<K, usize>,
+    /// Column of each problem variable (shared until a clone adds one).
+    index: Rc<BTreeMap<K, usize>>,
     /// Problem-variable key of each column (`None` for slack columns).
     keys: Vec<Option<K>>,
     /// Active constraints, in push order.
@@ -211,10 +283,10 @@ pub struct IncrementalSimplex<K: Ord + Clone> {
     upper: Vec<Option<DeltaRat>>,
     /// Current assignment.
     beta: Vec<DeltaRat>,
-    /// Rows of basic variables: `basic -> sparse row` over the non-basic
-    /// columns (ascending, non-zero coefficients only), so adding a column,
-    /// cloning the tableau, and pivoting never touch the zeros.
-    rows: BTreeMap<usize, Row>,
+    /// The row of each basic column over the non-basic columns (`None` for
+    /// a non-basic column), so adding a column or cloning the tableau never
+    /// touches a coefficient.
+    rows: Vec<Option<Rc<Row>>>,
     /// Farkas certificate of the most recent failed check.
     conflict: Option<FarkasCertificate>,
 }
@@ -229,13 +301,13 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
     /// Creates an empty (trivially satisfiable) system.
     pub fn new() -> IncrementalSimplex<K> {
         IncrementalSimplex {
-            index: BTreeMap::new(),
+            index: Rc::default(),
             keys: Vec::new(),
             constraints: Vec::new(),
             lower: Vec::new(),
             upper: Vec::new(),
             beta: Vec::new(),
-            rows: BTreeMap::new(),
+            rows: Vec::new(),
             conflict: None,
         }
     }
@@ -257,6 +329,7 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
         self.lower.push(None);
         self.upper.push(None);
         self.beta.push(DeltaRat::ZERO);
+        self.rows.push(None);
         col
     }
 
@@ -266,7 +339,7 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
             return col;
         }
         let col = self.add_column(Some(v.clone()));
-        self.index.insert(v.clone(), col);
+        Rc::make_mut(&mut self.index).insert(v.clone(), col);
         col
     }
 
@@ -289,20 +362,22 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
             self.ensure_column(&v);
         }
         let slack = self.add_column(None);
-        let mut row: Row = Vec::new();
+        let mut row = Row { den: 1, entries: Vec::new() };
         for (v, coeff) in expr.terms() {
             // A basic variable is replaced by its row, a non-basic one is
             // its own unit row.
             let col = self.index[v];
-            let unit = [(col, Rat::ONE)];
-            row = add_scaled(&row, coeff, self.rows.get(&col).map_or(&unit[..], Vec::as_slice))?;
+            row = match &self.rows[col] {
+                Some(basic) => row.add_scaled(coeff, basic)?,
+                None => row.add_scaled(coeff, &Row::unit(col))?,
+            };
         }
         let mut value = DeltaRat::ZERO;
-        for &(k, a) in &row {
-            value = value.add(self.beta[k].scale(a)?)?;
+        for &(k, n) in &row.entries {
+            value = value.add(self.beta[k].scale(row.coeff(n)?)?)?;
         }
         self.beta[slack] = value;
-        self.rows.insert(slack, row);
+        self.rows[slack] = Some(Rc::new(row));
         let bound = expr.constant_part().neg()?;
         match op {
             ConstrOp::Le => self.upper[slack] = Some(DeltaRat::real(bound)),
@@ -335,19 +410,19 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
             let s = dropped.slack;
             self.lower[s] = None;
             self.upper[s] = None;
-            if !self.rows.contains_key(&s) {
+            if self.rows[s].is_none() {
                 // The slack was pivoted into the non-basic set; bring it
                 // back to the basis so the remaining rows stop referencing
                 // it, then discard its row.  (Once absent everywhere and
                 // unbounded, a dead column can never re-enter the basis:
                 // pivot targets need a non-zero row coefficient.)
                 let referencing =
-                    self.rows.iter().find(|(_, row)| !coeff_at(row, s).is_zero()).map(|(&b, _)| b);
+                    self.rows.iter().position(|row| row.as_ref().is_some_and(|r| r.num_at(s) != 0));
                 if let Some(b) = referencing {
-                    self.pivot(b, s)?;
+                    self.pivot(b, s, None)?;
                 }
             }
-            self.rows.remove(&s);
+            self.rows[s] = None;
             self.conflict = None;
         }
         self.reclaim_trailing_dead_columns();
@@ -361,11 +436,11 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
     fn reclaim_trailing_dead_columns(&mut self) {
         while let Some(last) = self.total().checked_sub(1) {
             let is_dead_slack = self.keys[last].is_none()
-                && !self.rows.contains_key(&last)
+                && self.rows[last].is_none()
                 && self.lower[last].is_none()
                 && self.upper[last].is_none()
                 && self.constraints.iter().all(|c| c.slack != last)
-                && self.rows.values().all(|row| coeff_at(row, last).is_zero());
+                && self.rows.iter().flatten().all(|row| row.num_at(last) == 0);
             if !is_dead_slack {
                 break;
             }
@@ -373,6 +448,7 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
             self.lower.pop();
             self.upper.pop();
             self.beta.pop();
+            self.rows.pop();
         }
     }
 
@@ -404,9 +480,11 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
         loop {
             // Find the smallest-index basic variable violating a bound
             // (Bland's rule guarantees termination).
-            let violated = self.rows.keys().copied().find(|&b| {
+            let violated = (0..self.total()).find(|&b| {
                 let v = self.beta[b];
-                self.lower[b].is_some_and(|l| v < l) || self.upper[b].is_some_and(|u| v > u)
+                self.rows[b].is_some()
+                    && (self.lower[b].is_some_and(|l| v < l)
+                        || self.upper[b].is_some_and(|u| v > u))
             });
             let Some(b) = violated else {
                 return Ok(true);
@@ -417,10 +495,11 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
             // toward its violated bound.  Moving up needs a positive
             // coefficient on a column below its upper bound or a negative
             // one on a column above its lower bound; moving down the
-            // reverse.
-            let row = &self.rows[&b];
-            let pivot = row.iter().find(|&&(j, a)| {
-                if a.is_positive() == lower_violation {
+            // reverse.  The denominator is positive, so a coefficient's
+            // sign is its numerator's.
+            let row = self.rows[b].as_ref().expect("violated column is basic");
+            let pivot = row.entries.iter().find(|&&(j, n)| {
+                if (n > 0) == lower_violation {
                     self.upper[j].is_none_or(|u| self.beta[j] < u)
                 } else {
                     self.lower[j].is_none_or(|l| self.beta[j] > l)
@@ -483,7 +562,7 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
     fn build_conflict(
         &self,
         b: usize,
-        row: &[(usize, Rat)],
+        row: &Row,
         lower_violation: bool,
     ) -> SmtResult<FarkasCertificate> {
         let mut constraint_of_slack: Vec<Option<usize>> = vec![None; self.total()];
@@ -500,16 +579,16 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
         if lower_violation {
             // -1 · e_b  +  Σ_j a_bj · e_j
             mult[cb] = mult[cb].sub(Rat::ONE)?;
-            for &(j, a) in row {
+            for &(j, n) in &row.entries {
                 let cj = constraint_of(j)?;
-                mult[cj] = mult[cj].add(a)?;
+                mult[cj] = mult[cj].add(row.coeff(n)?)?;
             }
         } else {
             // +1 · e_b  -  Σ_j a_bj · e_j
             mult[cb] = mult[cb].add(Rat::ONE)?;
-            for &(j, a) in row {
+            for &(j, n) in &row.entries {
                 let cj = constraint_of(j)?;
-                mult[cj] = mult[cj].sub(a)?;
+                mult[cj] = mult[cj].sub(row.coeff(n)?)?;
             }
         }
         let cert = FarkasCertificate { multipliers: mult };
@@ -521,38 +600,44 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
     }
 
     fn pivot_and_update(&mut self, b: usize, j: usize, target: DeltaRat) -> SmtResult<()> {
-        let a_bj = coeff_at(&self.rows[&b], j);
+        let row_b = self.rows[b].as_ref().expect("pivot row must be basic");
+        let a_bj = row_b.coeff(row_b.num_at(j))?;
         let theta = target.sub(self.beta[b])?.scale(a_bj.recip()?)?;
         self.beta[b] = target;
         self.beta[j] = self.beta[j].add(theta)?;
-        for (&k, row) in &self.rows {
-            let a_kj = coeff_at(row, j);
-            if k != b && !a_kj.is_zero() {
-                self.beta[k] = self.beta[k].add(theta.scale(a_kj)?)?;
-            }
-        }
-        self.pivot(b, j)
+        self.pivot(b, j, Some(theta))
     }
 
-    fn pivot(&mut self, b: usize, j: usize) -> SmtResult<()> {
-        let row_b = self.rows.remove(&b).expect("pivot row must be basic");
-        let a_inv = coeff_at(&row_b, j).recip()?;
-        // New row expressing x_j in terms of x_b and the other non-basics.
-        let mut row_j: Row = Vec::with_capacity(row_b.len());
-        for &(k, coeff) in &row_b {
+    /// Exchanges basic `b` for non-basic `j`.  With `theta`, the same pass
+    /// that substitutes `x_j` into a row also moves that row's basic value
+    /// by `theta · a_kj` (the rest of the update is `pivot_and_update`'s).
+    fn pivot(&mut self, b: usize, j: usize, theta: Option<DeltaRat>) -> SmtResult<()> {
+        let row_b = self.rows[b].take().expect("pivot row must be basic");
+        // x_j = (den·x_b − Σ_{k≠j} n_k·x_k) / n_j, written over |n_j|: the
+        // numbers are row b's up to sign, so their gcd stays 1.
+        let n_j = row_b.num_at(j);
+        let den = i128::try_from(n_j.unsigned_abs()).map_err(|_| SmtError::Overflow)?;
+        let flip =
+            |n: i128| if n_j > 0 { n.checked_neg().ok_or(SmtError::Overflow) } else { Ok(n) };
+        let mut entries = Vec::with_capacity(row_b.entries.len());
+        for &(k, n) in &row_b.entries {
             if k != j {
-                row_j.push((k, coeff.neg()?.mul(a_inv)?));
+                entries.push((k, flip(n)?));
             }
         }
-        row_j.insert(row_j.partition_point(|&(k, _)| k < b), (b, a_inv));
-        // Substitute x_j in all remaining rows.
-        for row in self.rows.values_mut() {
-            if let Ok(i) = row.binary_search_by_key(&j, |&(k, _)| k) {
-                let c = row.remove(i).1;
-                *row = add_scaled(row, c, &row_j)?;
+        let at = entries.partition_point(|&(k, _)| k < b);
+        entries.insert(at, (b, flip(-row_b.den)?));
+        let row_j = Rc::new(Row { den, entries });
+        // Substitute x_j in every other row that mentions it.
+        for (k, slot) in self.rows.iter_mut().enumerate() {
+            let Some(row) = slot else { continue };
+            let Ok(i) = row.entries.binary_search_by_key(&j, |&(l, _)| l) else { continue };
+            if let Some(theta) = theta {
+                self.beta[k] = self.beta[k].add(theta.scale(row.coeff(row.entries[i].1)?)?)?;
             }
+            *slot = Some(Rc::new(row.substitute(i, &row_j)?));
         }
-        self.rows.insert(j, row_j);
+        self.rows[j] = Some(row_j);
         Ok(())
     }
 
@@ -590,7 +675,7 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
             }
         }
         let mut model = BTreeMap::new();
-        for (k, &col) in &self.index {
+        for (k, &col) in self.index.iter() {
             let value = self.beta[col].real.add(self.beta[col].delta.mul(delta)?)?;
             model.insert(k.clone(), value);
         }
@@ -820,21 +905,33 @@ mod tests {
     }
 
     /// Asserts the tableau invariants: every row is strictly ascending,
-    /// free of zero coefficients and of basic columns; every basic value is
-    /// its row applied to the non-basic values; and, when `feasible` (after
-    /// a successful check), every column is within its bounds.
+    /// free of zero numerators and of basic columns, over a positive
+    /// denominator that shares no factor with all its numerators; every
+    /// basic value is its row applied to the non-basic values; and, when
+    /// `feasible` (after a successful check), every column is within its
+    /// bounds.
     fn assert_tableau_invariants<K: Ord + Clone + Debug>(
         tab: &IncrementalSimplex<K>,
         feasible: bool,
     ) {
-        for (&b, row) in &tab.rows {
-            assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "row {b} not ascending: {row:?}");
-            assert!(row.iter().all(|&(k, a)| !a.is_zero() && !tab.rows.contains_key(&k)));
-            let mut value = DeltaRat::ZERO;
-            for &(k, a) in row {
-                value = value.add(tab.beta[k].scale(a).unwrap()).unwrap();
+        assert_eq!(tab.rows.len(), tab.total());
+        for (b, row) in tab.rows.iter().enumerate() {
+            let Some(row) = row else { continue };
+            let entries = &row.entries;
+            assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "row {b} not ascending: {row:?}");
+            assert!(entries.iter().all(|&(k, n)| n != 0 && tab.rows[k].is_none()));
+            assert!(row.den > 0, "row {b} has a non-positive denominator: {row:?}");
+            let g =
+                entries.iter().fold(row.den.unsigned_abs(), |g, &(_, n)| gcd(g, n.unsigned_abs()));
+            assert_eq!(g, 1, "row {b} is not in lowest terms: {row:?}");
+            let value = entries.iter().try_fold(DeltaRat::ZERO, |value, &(k, n)| {
+                value.add(tab.beta[k].scale(row.coeff(n)?)?)
+            });
+            // Summing in row order can overflow where the pivots' updates
+            // did not; the comparison needs a sum that fits.
+            if let Ok(value) = value {
+                assert_eq!(value, tab.beta[b], "basic column {b} drifted from its row");
             }
-            assert_eq!(value, tab.beta[b], "basic column {b} drifted from its row");
         }
         if feasible {
             for (col, v) in tab.beta.iter().enumerate() {
@@ -853,28 +950,272 @@ mod tests {
         PopTo(usize),
     }
 
-    /// A random constraint over at most five variables, coefficients in
-    /// −3..3.
-    fn constraint_strategy() -> impl Strategy<Value = LinConstraint<u32>> {
+    /// A random constraint over at most five variables whose coefficients
+    /// and constant come from `coeff`.
+    fn constraint_over<S: Strategy<Value = Rat> + 'static>(
+        coeff: impl Fn() -> S,
+    ) -> impl Strategy<Value = LinConstraint<u32>> {
         let op = prop_oneof![Just(ConstrOp::Le), Just(ConstrOp::Lt), Just(ConstrOp::Eq)];
-        (proptest::collection::vec(-3i128..=3, 1..=5), -3i128..=3, op).prop_map(
-            |(coeffs, k, op)| {
-                let mut e = LinExpr::constant(Rat::int(k));
-                for (v, a) in coeffs.into_iter().enumerate() {
-                    e.add_term(v as u32, Rat::int(a)).unwrap();
-                }
-                LinConstraint::new(e, op)
-            },
-        )
+        (proptest::collection::vec(coeff(), 1..=5), coeff(), op).prop_map(|(coeffs, k, op)| {
+            let mut e = LinExpr::constant(k);
+            for (v, a) in coeffs.into_iter().enumerate() {
+                e.add_term(v as u32, a).unwrap();
+            }
+            LinConstraint::new(e, op)
+        })
     }
 
-    fn op_strategy() -> impl Strategy<Value = Op> {
+    /// Coefficients in −3..3.
+    fn small_int() -> impl Strategy<Value = Rat> {
+        (-3i128..=3).prop_map(Rat::int)
+    }
+
+    /// Mostly small integers, but also fractions and large multiples of
+    /// shared factors, so rows get non-unit denominators and substitutions
+    /// leave common factors for the row normalization to divide out.
+    fn mixed_coeff() -> impl Strategy<Value = Rat> {
         prop_oneof![
-            constraint_strategy().prop_map(Op::Push),
-            constraint_strategy().prop_map(Op::Push),
+            small_int(),
+            small_int(),
+            (-3i128..=3, 1i128..=6).prop_map(|(n, d)| Rat::new(n, d).unwrap()),
+            (-3i128..=3, 0usize..5)
+                .prop_map(|(n, i)| Rat::int(n * [6, 10, 15, 1 << 20, 3 << 12][i])),
+        ]
+    }
+
+    fn op_strategy<S: Strategy<Value = LinConstraint<u32>> + 'static>(
+        constraint: impl Fn() -> S,
+    ) -> impl Strategy<Value = Op> {
+        prop_oneof![
+            constraint().prop_map(Op::Push),
+            constraint().prop_map(Op::Push),
             Just(Op::Check),
             (0usize..30).prop_map(Op::PopTo),
         ]
+    }
+
+    /// A tableau row with one `Rat` per entry.
+    type RatRow = Vec<(usize, Rat)>;
+
+    /// `row + c · other` on `Rat` rows, by a sorted merge that drops zeros.
+    fn rat_add_scaled(row: &[(usize, Rat)], c: Rat, other: &[(usize, Rat)]) -> SmtResult<RatRow> {
+        let mut out = Vec::with_capacity(row.len() + other.len());
+        let mut rest = row.iter().copied().peekable();
+        for &(k, b) in other {
+            while let Some(entry) = rest.next_if(|&(l, _)| l < k) {
+                out.push(entry);
+            }
+            let term = c.mul(b)?;
+            let sum = match rest.next_if(|&(l, _)| l == k) {
+                Some((_, a)) => a.add(term)?,
+                None => term,
+            };
+            if !sum.is_zero() {
+                out.push((k, sum));
+            }
+        }
+        out.extend(rest);
+        Ok(out)
+    }
+
+    /// The tableau that fraction-free rows replaced: one normalised `Rat`
+    /// per row entry and the rows in a `BTreeMap` keyed by basic column,
+    /// with the same column layout, Bland's rule and pop discipline.  It is
+    /// the oracle that `IncrementalSimplex` pivots exactly as it did.
+    #[derive(Default)]
+    struct RatTableau {
+        index: BTreeMap<u32, usize>,
+        is_var: Vec<bool>,
+        constraints: Vec<(LinConstraint<u32>, usize)>,
+        lower: Vec<Option<DeltaRat>>,
+        upper: Vec<Option<DeltaRat>>,
+        beta: Vec<DeltaRat>,
+        rows: BTreeMap<usize, RatRow>,
+        conflict: Option<FarkasCertificate>,
+    }
+
+    impl RatTableau {
+        fn add_column(&mut self, is_var: bool) -> usize {
+            self.is_var.push(is_var);
+            self.lower.push(None);
+            self.upper.push(None);
+            self.beta.push(DeltaRat::ZERO);
+            self.is_var.len() - 1
+        }
+
+        fn push(&mut self, c: &LinConstraint<u32>) -> SmtResult<()> {
+            for v in c.expr.vars() {
+                if !self.index.contains_key(&v) {
+                    let col = self.add_column(true);
+                    self.index.insert(v, col);
+                }
+            }
+            let slack = self.add_column(false);
+            let mut row = Vec::new();
+            for (v, coeff) in c.expr.terms() {
+                let col = self.index[v];
+                let unit = [(col, Rat::ONE)];
+                let other = self.rows.get(&col).map_or(&unit[..], Vec::as_slice);
+                row = rat_add_scaled(&row, coeff, other)?;
+            }
+            let mut value = DeltaRat::ZERO;
+            for &(k, a) in &row {
+                value = value.add(self.beta[k].scale(a)?)?;
+            }
+            self.beta[slack] = value;
+            self.rows.insert(slack, row);
+            let bound = c.expr.constant_part().neg()?;
+            self.upper[slack] = Some(match c.op {
+                ConstrOp::Lt => DeltaRat::just_below(bound),
+                ConstrOp::Le | ConstrOp::Eq => DeltaRat::real(bound),
+            });
+            if c.op == ConstrOp::Eq {
+                self.lower[slack] = Some(DeltaRat::real(bound));
+            }
+            self.constraints.push((c.clone(), slack));
+            Ok(())
+        }
+
+        fn pop_to(&mut self, checkpoint: usize) -> SmtResult<()> {
+            while self.constraints.len() > checkpoint {
+                let (_, s) = self.constraints.pop().expect("len checked");
+                self.lower[s] = None;
+                self.upper[s] = None;
+                if !self.rows.contains_key(&s) {
+                    let referencing = self
+                        .rows
+                        .iter()
+                        .find(|(_, row)| row.iter().any(|&(k, _)| k == s))
+                        .map(|(&b, _)| b);
+                    if let Some(b) = referencing {
+                        self.pivot(b, s)?;
+                    }
+                }
+                self.rows.remove(&s);
+                self.conflict = None;
+            }
+            while let Some(last) = self.is_var.len().checked_sub(1) {
+                let is_dead_slack = !self.is_var[last]
+                    && !self.rows.contains_key(&last)
+                    && self.lower[last].is_none()
+                    && self.upper[last].is_none()
+                    && self.constraints.iter().all(|&(_, s)| s != last)
+                    && self.rows.values().all(|row| row.iter().all(|&(k, _)| k != last));
+                if !is_dead_slack {
+                    break;
+                }
+                self.is_var.pop();
+                self.lower.pop();
+                self.upper.pop();
+                self.beta.pop();
+            }
+            Ok(())
+        }
+
+        fn check(&mut self) -> SmtResult<bool> {
+            self.conflict = None;
+            loop {
+                let violated = self.rows.keys().copied().find(|&b| {
+                    let v = self.beta[b];
+                    self.lower[b].is_some_and(|l| v < l) || self.upper[b].is_some_and(|u| v > u)
+                });
+                let Some(b) = violated else {
+                    return Ok(true);
+                };
+                let lower_violation = self.lower[b].is_some_and(|l| self.beta[b] < l);
+                let target = if lower_violation { self.lower[b] } else { self.upper[b] };
+                let row = &self.rows[&b];
+                let pivot = row.iter().find(|&&(j, a)| {
+                    if a.is_positive() == lower_violation {
+                        self.upper[j].is_none_or(|u| self.beta[j] < u)
+                    } else {
+                        self.lower[j].is_none_or(|l| self.beta[j] > l)
+                    }
+                });
+                let Some(&(j, a_bj)) = pivot else {
+                    // The certificate of `build_conflict`: ∓1 on row b's
+                    // constraint, ±a_bj on each of its columns'.
+                    let sign = if lower_violation { Rat::ONE } else { Rat::MINUS_ONE };
+                    let slot = |col: usize| self.constraints.iter().position(|&(_, s)| s == col);
+                    let mut mult = vec![Rat::ZERO; self.constraints.len()];
+                    mult[slot(b).expect("bounded")] = sign.neg()?;
+                    for &(j, a) in row {
+                        let cj = slot(j).expect("conflict row columns are slacks");
+                        mult[cj] = mult[cj].add(sign.mul(a)?)?;
+                    }
+                    self.conflict = Some(FarkasCertificate { multipliers: mult });
+                    return Ok(false);
+                };
+                let target = target.expect("bound checked");
+                let theta = target.sub(self.beta[b])?.scale(a_bj.recip()?)?;
+                self.beta[b] = target;
+                self.beta[j] = self.beta[j].add(theta)?;
+                for (&k, row) in &self.rows {
+                    let a_kj = row.iter().find(|&&(l, _)| l == j).map_or(Rat::ZERO, |&(_, a)| a);
+                    if k != b && !a_kj.is_zero() {
+                        self.beta[k] = self.beta[k].add(theta.scale(a_kj)?)?;
+                    }
+                }
+                self.pivot(b, j)?;
+            }
+        }
+
+        fn pivot(&mut self, b: usize, j: usize) -> SmtResult<()> {
+            let row_b = self.rows.remove(&b).expect("pivot row must be basic");
+            let a_bj = row_b.iter().find(|&&(k, _)| k == j).expect("pivot column").1;
+            let a_inv = a_bj.recip()?;
+            let mut row_j: RatRow = Vec::with_capacity(row_b.len());
+            for &(k, coeff) in &row_b {
+                if k != j {
+                    row_j.push((k, coeff.neg()?.mul(a_inv)?));
+                }
+            }
+            row_j.insert(row_j.partition_point(|&(k, _)| k < b), (b, a_inv));
+            for row in self.rows.values_mut() {
+                if let Ok(i) = row.binary_search_by_key(&j, |&(k, _)| k) {
+                    let c = row.remove(i).1;
+                    *row = rat_add_scaled(row, c, &row_j)?;
+                }
+            }
+            self.rows.insert(j, row_j);
+            Ok(())
+        }
+
+        /// `IncrementalSimplex::model`'s δ instantiation, on this tableau.
+        fn model(&self) -> SmtResult<BTreeMap<u32, Rat>> {
+            let mut delta = Rat::ONE;
+            for (c, _) in &self.constraints {
+                let (mut a, mut bcoef) = (c.expr.constant_part(), Rat::ZERO);
+                for (v, coeff) in c.expr.terms() {
+                    let value = self.beta[self.index[v]];
+                    a = a.add(coeff.mul(value.real)?)?;
+                    bcoef = bcoef.add(coeff.mul(value.delta)?)?;
+                }
+                if c.op != ConstrOp::Eq && a.is_negative() && bcoef.is_positive() {
+                    delta = delta.min(a.neg()?.div(bcoef)?.div(Rat::int(2))?);
+                }
+            }
+            (self.index.iter())
+                .map(|(&k, &col)| {
+                    let value = self.beta[col];
+                    Ok((k, value.real.add(value.delta.mul(delta)?)?))
+                })
+                .collect()
+        }
+    }
+
+    /// Asserts that the two tableaux hold the same basis, the same rational
+    /// rows, the same assignment and the same bounds.
+    fn assert_same_tableau(tab: &IncrementalSimplex<u32>, oracle: &RatTableau) {
+        let rows: BTreeMap<usize, RatRow> = (tab.rows.iter().enumerate())
+            .filter_map(|(b, row)| {
+                let row = row.as_ref()?;
+                Some((b, row.entries.iter().map(|&(k, n)| (k, row.coeff(n).unwrap())).collect()))
+            })
+            .collect();
+        assert_eq!(rows, oracle.rows, "the rows differ");
+        assert_eq!(tab.beta, oracle.beta, "the assignments differ");
+        assert_eq!((&tab.lower, &tab.upper), (&oracle.lower, &oracle.upper), "the bounds differ");
     }
 
     proptest! {
@@ -886,7 +1227,7 @@ mod tests {
         /// satisfies every active row, an `Unsat` certificate verifies.
         #[test]
         fn tableau_invariants_survive_push_check_pop(
-            ops in proptest::collection::vec(op_strategy(), 0..=30)
+            ops in proptest::collection::vec(op_strategy(|| constraint_over(small_int)), 0..=30)
         ) {
             let mut tab: IncrementalSimplex<u32> = IncrementalSimplex::new();
             for op in ops {
@@ -910,6 +1251,57 @@ mod tests {
                     }
                 }
                 assert_tableau_invariants(&tab, feasible);
+            }
+        }
+
+        /// The same random sessions, with fractional and large
+        /// coefficients, on the fraction-free tableau and on the `Rat`-row
+        /// oracle: after every step both hold the same basis, rows,
+        /// assignment and bounds, so every check gives the same verdict,
+        /// model, certificate and conflict core.  Integer rows may
+        /// overflow where `Rat` rows do not (or the reverse); such a
+        /// session stops at its first overflow, which must be reported as
+        /// `SmtError::Overflow`.
+        #[test]
+        fn fraction_free_rows_pivot_like_rat_rows(
+            ops in proptest::collection::vec(op_strategy(|| constraint_over(mixed_coeff)), 0..=30)
+        ) {
+            let mut tab: IncrementalSimplex<u32> = IncrementalSimplex::new();
+            let mut oracle = RatTableau::default();
+            for op in ops {
+                let (got, want) = match op {
+                    Op::Push(c) => {
+                        (tab.push_constraint(&c).map(|()| None), oracle.push(&c).map(|()| None))
+                    }
+                    Op::PopTo(n) => {
+                        let n = n.min(tab.checkpoint());
+                        (tab.pop_to(n).map(|()| None), oracle.pop_to(n).map(|()| None))
+                    }
+                    Op::Check => (tab.check().map(Some), oracle.check().map(Some)),
+                };
+                let (got, want) = match (got, want) {
+                    (Ok(got), Ok(want)) => (got, want),
+                    (got, want) => {
+                        for e in [got.err(), want.err()].into_iter().flatten() {
+                            prop_assert_eq!(e, SmtError::Overflow);
+                        }
+                        break;
+                    }
+                };
+                prop_assert_eq!(got, want);
+                assert_same_tableau(&tab, &oracle);
+                assert_tableau_invariants(&tab, got == Some(true));
+                if got == Some(true) {
+                    prop_assert_eq!(tab.model(), oracle.model());
+                } else if got == Some(false) {
+                    let want = oracle.conflict.as_ref().expect("failed check");
+                    let support: Vec<usize> = (want.multipliers.iter().enumerate())
+                        .filter(|(_, m)| !m.is_zero())
+                        .map(|(i, _)| i)
+                        .collect();
+                    prop_assert_eq!(tab.conflict_core(), Some(support));
+                    prop_assert_eq!(&tab.take_certificate(), want);
+                }
             }
         }
     }

@@ -1,9 +1,11 @@
 //! Property tests for the `Rat` fast paths: the `den == 1` integer
-//! shortcuts and the ZERO/ONE short-circuits in `add`/`mul` must agree with
+//! shortcuts, the ZERO/ONE short-circuits in `add`/`mul`, the `i64`
+//! widening multiply and the equal-denominator `compare` must agree with
 //! the general cross-multiply-and-normalise path on every input.
 
-use pathinv_smt::{Rat, SmtResult};
+use pathinv_smt::{Rat, SmtError, SmtResult};
 use proptest::prelude::*;
+use std::cmp::Ordering;
 
 /// The general (slow) addition: cross-multiply, then normalise.  This is
 /// the code path `Rat::add` takes when no fast path applies; reproducing it
@@ -16,6 +18,58 @@ fn add_slow(a: Rat, b: Rat) -> SmtResult<Rat> {
 /// The general (slow) multiplication.
 fn mul_slow(a: Rat, b: Rat) -> SmtResult<Rat> {
     Rat::new(a.numer() * b.numer(), a.denom() * b.denom())
+}
+
+/// The general multiplication with every `i128` step checked: the
+/// reference the fast paths must match, overflow included.
+fn mul_checked(a: Rat, b: Rat) -> SmtResult<Rat> {
+    let num = a.numer().checked_mul(b.numer()).ok_or(SmtError::Overflow)?;
+    let den = a.denom().checked_mul(b.denom()).ok_or(SmtError::Overflow)?;
+    Rat::new(num, den)
+}
+
+/// The general comparison: cross-multiply, every step checked.
+fn compare_checked(a: Rat, b: Rat) -> SmtResult<Ordering> {
+    let l = a.numer().checked_mul(b.denom()).ok_or(SmtError::Overflow)?;
+    let r = b.numer().checked_mul(a.denom()).ok_or(SmtError::Overflow)?;
+    Ok(l.cmp(&r))
+}
+
+/// Integers at the edges of the fast paths: the `i64` range, the `u64`
+/// boundary and the `i128` range.
+const EDGES: [i128; 15] = [
+    0,
+    1,
+    -1,
+    i64::MAX as i128,
+    i64::MIN as i128,
+    i64::MIN as i128 - 1,
+    i64::MAX as i128 + 1,
+    u64::MAX as i128,
+    u64::MAX as i128 + 1,
+    -(u64::MAX as i128),
+    1 << 32,
+    -(1 << 62),
+    i128::MIN + 1,
+    i128::MAX,
+    i128::MIN,
+];
+
+/// An edge integer nudged by −2..2 (kept when the nudge does not fit).
+fn edge_int() -> impl Strategy<Value = i128> {
+    (0..EDGES.len(), -2i128..=2).prop_map(|(i, d)| EDGES[i].checked_add(d).unwrap_or(EDGES[i]))
+}
+
+/// Edge integers, some over a shared denominator: a small prime, or the
+/// prime `2⁶¹ − 1`, so that pairs often keep equal denominators after
+/// normalisation.
+fn edge_rat() -> impl Strategy<Value = Rat> {
+    prop_oneof![
+        edge_int().prop_map(Rat::int),
+        (edge_int(), 0usize..3).prop_map(|(n, i)| {
+            Rat::new(n, [3, 7, (1 << 61) - 1][i]).expect("a positive denominator always reduces")
+        }),
+    ]
 }
 
 fn rat_strategy() -> impl Strategy<Value = Rat> {
@@ -73,6 +127,53 @@ proptest! {
         prop_assert!(gcd(product.numer().abs(), product.denom()) == 1,
             "fraction must stay in lowest terms: {}", product);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// At the edges of `i64`, `u64` and `i128`, `mul` (with its `i64`
+    /// widening multiply) gives exactly the checked reference: the same
+    /// product, or `SmtError::Overflow` where the reference overflows.
+    #[test]
+    fn edge_mul_matches_the_checked_reference(a in edge_rat(), b in edge_rat()) {
+        prop_assert_eq!(a.mul(b), mul_checked(a, b));
+    }
+
+    /// At the same edges, `compare` agrees with cross-multiplication
+    /// wherever that does not overflow.  Where it does, equal
+    /// denominators still compare their numerators, and any other pair is
+    /// an overflow error.
+    #[test]
+    fn edge_compare_matches_the_checked_reference(a in edge_rat(), b in edge_rat()) {
+        match compare_checked(a, b) {
+            Ok(want) => prop_assert_eq!(a.compare(b), Ok(want)),
+            Err(_) if a.denom() == b.denom() => {
+                prop_assert_eq!(a.compare(b), Ok(a.numer().cmp(&b.numer())));
+            }
+            Err(e) => prop_assert_eq!(a.compare(b), Err(e)),
+        }
+    }
+}
+
+/// The fast paths still report overflow instead of wrapping.
+#[test]
+fn fast_paths_still_report_overflow() {
+    let (i64_max, i64_min) = (Rat::int(i64::MAX.into()), Rat::int(i64::MIN.into()));
+    assert_eq!(i64_max.mul(i64_max), Ok(Rat::int(i128::from(i64::MAX) * i128::from(i64::MAX))));
+    assert_eq!(i64_min.mul(i64_min), Ok(Rat::int(1 << 126)));
+    let just_past = Rat::int(i128::from(i64::MIN) - 1);
+    assert_eq!(just_past.mul(just_past), Ok(Rat::int((1 << 126) + (1 << 64) + 1)));
+    let two_64 = Rat::int(1 << 64);
+    assert_eq!(two_64.mul(two_64), Err(SmtError::Overflow));
+    assert_eq!(Rat::int(i128::MIN).mul(Rat::MINUS_ONE), Err(SmtError::Overflow));
+    assert_eq!(Rat::int(i128::MIN + 1).mul(Rat::MINUS_ONE), Ok(Rat::int(i128::MAX)));
+    let (half, third) = (Rat::new(i128::MAX, 2).unwrap(), Rat::new(i128::MAX, 3).unwrap());
+    assert_eq!(half.compare(third), Err(SmtError::Overflow));
+    assert_eq!(
+        Rat::new(i128::MAX, 7).unwrap().compare(Rat::new(i128::MIN + 1, 7).unwrap()),
+        Ok(Ordering::Greater)
+    );
 }
 
 /// `i128::MIN` has no `i128` magnitude: reduction works on `u128`
