@@ -535,14 +535,8 @@ impl VerdictCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::smoke::temp_path;
     use proptest::prelude::*;
-
-    fn temp_path(tag: &str) -> PathBuf {
-        static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        std::env::temp_dir()
-            .join(format!("pathinv-cache-test-{}-{n}-{tag}.journal", std::process::id()))
-    }
 
     fn sample_task(verdict: &str) -> Json {
         Json::object(vec![

@@ -13,13 +13,15 @@
 //! exactly one corpus entry cannot hide behind the others' verdicts.
 //!
 //! [`DifferentialReport::from_batch`] groups a portfolio
-//! [`BatchReport`] by program; the CLI hard-fails (nonzero exit) when
-//! [`DifferentialReport::disagreements`] is non-empty, and the
-//! `certify-smoke` CI job runs exactly that over the full corpus (together
-//! with the certificate audit).
+//! [`BatchReport`] by program, and [`ProgramDiff::conflict`] is the one
+//! conflict rule of every harness: batch and `--race` fail on it through
+//! [`crate::failures`], and the fuzzer turns it into an
+//! `engine-disagreement` finding.  The `certify-smoke` CI job runs the
+//! portfolio over the full corpus (together with the certificate audit).
 
 use crate::json::Json;
-use crate::{engine_rank, BatchReport};
+use crate::{engine_rank, BatchReport, TaskReport};
+use pathinv_core::is_conclusive;
 use std::collections::BTreeMap;
 
 /// One engine's verdict on one program.
@@ -29,8 +31,10 @@ pub struct EngineVerdict {
     pub engine: String,
     /// The refiner (CEGAR tasks) or [`NO_REFINER`](crate::NO_REFINER).
     pub refiner: String,
-    /// `"safe"`, `"unsafe"`, `"unknown"`, or `"error"`.
+    /// `"safe"`, `"unsafe"`, `"unknown"`, `"cancelled"`, or `"error"`.
     pub verdict: String,
+    /// The task's detail: for an `"error"`, what went wrong.
+    pub detail: String,
 }
 
 impl EngineVerdict {
@@ -56,11 +60,22 @@ pub struct ProgramDiff {
     /// in engine order, `"unknown"` when no engine concludes,
     /// `"disagreement"` when conclusive verdicts contradict each other.
     pub combined: String,
-    /// Engines whose task errored on this program.
-    pub errors: Vec<String>,
 }
 
 impl ProgramDiff {
+    /// The conflict on this program, if any: the first `safe` and the first
+    /// `unsafe` verdict in engine order.  Only those two verdicts carry an
+    /// opinion, so `unknown`, `error`, and `cancelled` never conflict.
+    pub fn conflict(&self) -> Option<(&EngineVerdict, &EngineVerdict)> {
+        let first = |verdict: &str| self.verdicts.iter().find(|v| v.verdict == verdict);
+        first("safe").zip(first("unsafe"))
+    }
+
+    /// The engines whose task errored on this program, in engine order.
+    pub fn errored(&self) -> impl Iterator<Item = &EngineVerdict> {
+        self.verdicts.iter().filter(|v| v.verdict == "error")
+    }
+
     /// Whether conclusive verdicts contradict each other on this program.
     pub fn is_disagreement(&self) -> bool {
         self.combined == "disagreement"
@@ -80,28 +95,31 @@ impl DifferentialReport {
     /// order cannot split a program into two groups and hide a conflict —
     /// and compares verdicts across engines.
     pub fn from_batch(report: &BatchReport) -> DifferentialReport {
+        DifferentialReport::from_tasks(&report.tasks)
+    }
+
+    /// [`from_batch`](DifferentialReport::from_batch) over any task
+    /// records: a race's lanes, or one fuzzed program's engine runs.
+    pub fn from_tasks<'a>(tasks: impl IntoIterator<Item = &'a TaskReport>) -> DifferentialReport {
         let mut by_program: BTreeMap<&str, ProgramDiff> = BTreeMap::new();
-        for task in &report.tasks {
+        for task in tasks {
             let current =
                 by_program.entry(task.program_name.as_str()).or_insert_with(|| ProgramDiff {
                     program: task.program_name.clone(),
                     verdicts: Vec::new(),
                     combined: String::new(),
-                    errors: Vec::new(),
                 });
             current.verdicts.push(EngineVerdict {
                 engine: task.engine.clone(),
                 refiner: task.refiner.clone(),
                 verdict: task.verdict.clone(),
+                detail: task.detail.clone(),
             });
-            if task.verdict == "error" {
-                current.errors.push(task.engine_label());
-            }
         }
         let mut programs: Vec<ProgramDiff> = by_program.into_values().collect();
         for p in &mut programs {
             p.verdicts.sort_by_key(|v| engine_rank(&v.engine, &v.refiner));
-            p.combined = combine(&p.verdicts);
+            p.combined = combine(p);
         }
         DifferentialReport { programs }
     }
@@ -116,7 +134,7 @@ impl DifferentialReport {
                 let verdicts: Vec<String> = p
                     .verdicts
                     .iter()
-                    .filter(|v| v.verdict == "safe" || v.verdict == "unsafe")
+                    .filter(|v| is_conclusive(&v.verdict))
                     .map(|v| format!("{} says {}", v.label(), v.verdict))
                     .collect();
                 format!("{}: {}", p.program, verdicts.join(", "))
@@ -124,11 +142,17 @@ impl DifferentialReport {
             .collect()
     }
 
-    /// Per-program engine errors, rendered (`"FORWARD: bmc errored"`).
+    /// Per-program engine errors, rendered with their detail
+    /// (`"FORWARD: bmc errored: panicked: ..."`).
     pub fn errors(&self) -> Vec<String> {
         self.programs
             .iter()
-            .flat_map(|p| p.errors.iter().map(move |e| format!("{}: {} errored", p.program, e)))
+            .flat_map(|p| {
+                p.errored().map(move |v| match v.detail.as_str() {
+                    "" => format!("{}: {} errored", p.program, v.label()),
+                    detail => format!("{}: {} errored: {detail}", p.program, v.label()),
+                })
+            })
             .collect()
     }
 
@@ -156,7 +180,7 @@ impl DifferentialReport {
                                 (
                                     "errors",
                                     Json::Array(
-                                        p.errors.iter().map(|e| Json::Str(e.clone())).collect(),
+                                        p.errored().map(|v| Json::Str(v.label())).collect(),
                                     ),
                                 ),
                             ])
@@ -172,8 +196,7 @@ impl DifferentialReport {
     /// A one-paragraph human-readable summary, listing disagreements and
     /// per-engine errors when present.
     pub fn render_summary(&self) -> String {
-        let conclusive =
-            self.programs.iter().filter(|p| p.combined == "safe" || p.combined == "unsafe").count();
+        let conclusive = self.programs.iter().filter(|p| is_conclusive(&p.combined)).count();
         let mut out = format!(
             "differential: {} programs cross-checked, {} concluded, {} disagreements\n",
             self.programs.len(),
@@ -190,22 +213,17 @@ impl DifferentialReport {
     }
 }
 
-/// Combines one program's verdicts: disagreement dominates; otherwise the
-/// first conclusive verdict in engine order; otherwise `unknown`.
-///
-/// Only `safe` and `unsafe` carry an opinion.  `unknown`, `error`, and
-/// `cancelled` (a lane stopped by the racing harness) all fall through: a
-/// cancelled engine never contradicts — and never corroborates — anything.
-fn combine(verdicts: &[EngineVerdict]) -> String {
-    let safe = verdicts.iter().any(|v| v.verdict == "safe");
-    let unsafe_ = verdicts.iter().any(|v| v.verdict == "unsafe");
-    if safe && unsafe_ {
+/// Combines one program's verdicts: a [conflict](ProgramDiff::conflict)
+/// dominates; otherwise the first conclusive verdict in engine order;
+/// otherwise `unknown` (a cancelled lane never corroborates anything).
+fn combine(p: &ProgramDiff) -> String {
+    if p.conflict().is_some() {
         return "disagreement".to_string();
     }
-    verdicts
+    p.verdicts
         .iter()
         .map(|v| v.verdict.as_str())
-        .find(|v| *v == "safe" || *v == "unsafe")
+        .find(|v| is_conclusive(v))
         .unwrap_or("unknown")
         .to_string()
 }
@@ -213,7 +231,7 @@ fn combine(verdicts: &[EngineVerdict]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TaskReport, VerifierStats};
+    use crate::VerifierStats;
 
     fn task(program: &str, engine: &str, refiner: &str, verdict: &str) -> TaskReport {
         TaskReport {

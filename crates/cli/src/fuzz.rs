@@ -30,17 +30,16 @@
 //! values, machines, and reruns.
 
 use crate::cache::fnv64;
+use crate::differential::DifferentialReport;
 use crate::json::Json;
-use crate::{TaskEngine, DEFAULT_BASELINE_REFINEMENTS};
+use crate::{make_tasks, BatchTask, EngineChoice, RefinerChoice, TaskReport};
 use pathinv_bench::generator::{
     generate_campaign, realize, Expected, GeneratedProgram, Realized, Scenario,
 };
-use pathinv_check::{check_certificate, decode_model, Certificate, CheckLimits};
-use pathinv_core::{
-    run_job, BmcConfig, CancellationToken, CegarConfig, JobOutcome, JobSpec, PdrConfig,
-};
+use pathinv_check::{decode_model, Certificate};
+use pathinv_core::{audit, is_conclusive, run_job, Audit, CancellationToken, JobOutcome};
 use pathinv_ir::exec::replay;
-use pathinv_ir::{path_formula, Path, Program};
+use pathinv_ir::{path_formula, Path};
 use pathinv_smt::{IntSatResult, Solver};
 use proptest::shrink::minimize;
 use std::collections::VecDeque;
@@ -50,6 +49,9 @@ use std::sync::Mutex;
 /// engine counterexample.  Generated programs have short error paths over
 /// few variables, so this is generous.
 const INTEGRALITY_NODES: usize = 4096;
+
+/// Candidate scenarios the shrinker tests per finding.
+const SHRINK_BUDGET: usize = 48;
 
 /// Options for one fuzzing campaign.
 #[derive(Clone, Debug)]
@@ -63,8 +65,6 @@ pub struct FuzzOptions {
     /// How many programs (from the front of the draw order) also get the
     /// cached-vs-uncached parity check.
     pub cache_sample: usize,
-    /// Shrink budget: maximum candidate scenarios tested per finding.
-    pub shrink_budget: usize,
     /// Audit every engine certificate with the independent checker: a
     /// conclusive verdict without a valid certificate becomes a finding.
     pub certify: bool,
@@ -82,7 +82,6 @@ impl Default for FuzzOptions {
             count: 200,
             jobs: 1,
             cache_sample: 10,
-            shrink_budget: 48,
             certify: false,
             timeout_ms: None,
         }
@@ -196,30 +195,12 @@ pub struct FuzzReport {
     pub findings: Vec<Finding>,
 }
 
-/// The fixed engine portfolio every generated program runs through.
-fn portfolio() -> Vec<TaskEngine> {
-    vec![
-        TaskEngine::Cegar(CegarConfig::path_invariants()),
-        TaskEngine::Cegar(CegarConfig::path_predicates(DEFAULT_BASELINE_REFINEMENTS)),
-        TaskEngine::Bmc(BmcConfig::default()),
-        TaskEngine::Pdr(PdrConfig::default()),
-    ]
-}
-
-fn engine_label(engine: &TaskEngine) -> String {
-    match engine {
-        TaskEngine::Cegar(_) => format!("{}/{}", engine.engine_name(), engine.refiner_name()),
-        _ => engine.engine_name().to_string(),
-    }
-}
-
 /// Runs one engine on `program` through the shared job path.  Without a
 /// deadline no engine may return `cancelled`, so that outcome is rewritten
 /// to an engine error: it can never masquerade as the no-opinion verdict.
-fn run_engine(engine: &TaskEngine, program: &Program, timeout_ms: Option<u64>) -> JobOutcome {
-    let spec = JobSpec::with_timeout_ms(engine.clone(), timeout_ms);
-    let mut outcome = run_job(&spec, program, &CancellationToken::new());
-    if outcome.verdict == "cancelled" && timeout_ms.is_none() {
+fn run_engine(task: &BatchTask) -> JobOutcome {
+    let mut outcome = run_job(&task.job_spec(), &task.program, &CancellationToken::new());
+    if outcome.verdict == "cancelled" && task.timeout_ms.is_none() {
         outcome.verdict = "error".to_string();
         outcome.detail = "cancelled without a token".to_string();
     }
@@ -319,63 +300,52 @@ struct CheckCounts {
     outcomes: String,
 }
 
-/// Audits one engine's certificate against its verdict (`--certify` only):
-/// a conclusive verdict must carry a certificate of matching polarity that
-/// the independent checker validates; an inconclusive verdict must carry
-/// none.  Returns the audit verdict: `none` without a certificate,
-/// `mismatch` for a certificate the verdict cannot carry, else the
-/// checker's answer.
-fn audit_engine_certificate(
+/// Renders [`pathinv_core::audit`] in the fuzz report's vocabulary
+/// (`--certify` only): `none` without a certificate, `mismatch` for a
+/// certificate the verdict cannot carry, else the checker's verdict.  A
+/// conclusive verdict without a certificate, a mismatch, and a certificate
+/// the checker does not validate are findings.
+fn audit_run(
     p: &GeneratedProgram,
     label: &str,
-    verdict: &str,
-    certificate: Option<&Certificate>,
+    o: &JobOutcome,
     findings: &mut Vec<Finding>,
 ) -> &'static str {
-    let conclusive = matches!(verdict, "safe" | "unsafe");
-    let Some(cert) = certificate else {
-        if conclusive {
-            findings.push(p.finding(
-                FindingKind::CertificateMissing,
-                label,
-                format!("{label} concluded {verdict} without emitting a certificate"),
-            ));
+    let verdict = &o.verdict;
+    match audit(&p.program, o) {
+        Audit::NoCertificate => {
+            if is_conclusive(verdict) {
+                findings.push(p.finding(
+                    FindingKind::CertificateMissing,
+                    label,
+                    format!("{label} concluded {verdict} without emitting a certificate"),
+                ));
+            }
+            "none"
         }
-        return "none";
-    };
-    if !conclusive {
-        findings.push(p.finding(
-            FindingKind::CertificateRejected,
-            label,
-            format!("{label} attached a {} certificate to a {verdict} verdict", cert.kind()),
-        ));
-        return "mismatch";
+        Audit::Mismatch { kind } => {
+            findings.push(p.finding(
+                FindingKind::CertificateRejected,
+                label,
+                format!("{label} attached a {kind} certificate to a {verdict} verdict"),
+            ));
+            "mismatch"
+        }
+        Audit::Checked(v, _) => {
+            if !v.is_valid() {
+                findings.push(p.finding(
+                    FindingKind::CertificateRejected,
+                    label,
+                    format!(
+                        "the independent checker rejected the certificate of {label} ({}): {}",
+                        v.name(),
+                        v.reason().unwrap_or_default()
+                    ),
+                ));
+            }
+            v.name()
+        }
     }
-    if cert.claims_safety() != (verdict == "safe") {
-        findings.push(p.finding(
-            FindingKind::CertificateRejected,
-            label,
-            format!(
-                "{label} attached a {} certificate to a {verdict} verdict (polarity mismatch)",
-                cert.kind()
-            ),
-        ));
-        return "mismatch";
-    }
-    let outcome = check_certificate(&p.program, cert, &CheckLimits::default());
-    if !outcome.is_valid() {
-        findings.push(p.finding(
-            FindingKind::CertificateRejected,
-            label,
-            format!(
-                "the independent checker rejected the {} certificate of {label} ({}): {}",
-                cert.kind(),
-                outcome.name(),
-                outcome.reason().unwrap_or_default()
-            ),
-        ));
-    }
-    outcome.name()
 }
 
 /// Runs the full three-way cross-check on one generated program.
@@ -401,19 +371,24 @@ fn check_program(
         }
     }
 
-    let engines = portfolio();
-    let verdicts: Vec<(String, JobOutcome)> = engines
-        .iter()
-        .map(|e| {
+    let program = vec![(p.name.clone(), p.program.clone())];
+    let mut lanes = make_tasks(program, EngineChoice::Portfolio, RefinerChoice::Both, None);
+    let runs: Vec<(TaskReport, JobOutcome)> = lanes
+        .iter_mut()
+        .map(|lane| {
             counts.engine_runs += 1;
-            (engine_label(e), run_engine(e, &p.program, timeout_ms))
+            lane.timeout_ms = timeout_ms;
+            let outcome = run_engine(lane);
+            (TaskReport::from_outcome(p.name.clone(), &lane.engine, &outcome), outcome)
         })
         .collect();
+    let verdicts: Vec<(String, &JobOutcome)> =
+        runs.iter().map(|(report, o)| (report.engine_label(), o)).collect();
 
     for (label, o) in &verdicts {
         let audit = if certify {
             counts.certs_audited += 1;
-            audit_engine_certificate(p, label, &o.verdict, o.certificate.as_ref(), &mut findings)
+            audit_run(p, label, o, &mut findings)
         } else {
             "-"
         };
@@ -472,10 +447,10 @@ fn check_program(
         }
     }
 
-    // Engine-vs-engine: any safe verdict alongside any unsafe verdict.
-    let safe_engine = verdicts.iter().find(|(_, o)| o.verdict == "safe");
-    let unsafe_engine = verdicts.iter().find(|(_, o)| o.verdict == "unsafe");
-    if let (Some((sl, _)), Some((ul, _))) = (safe_engine, unsafe_engine) {
+    // Engine-vs-engine: the differential harness's conflict rule.
+    let diff = DifferentialReport::from_tasks(runs.iter().map(|(report, _)| report));
+    if let Some((safe, unsafe_)) = diff.programs[0].conflict() {
+        let (sl, ul) = (safe.label(), unsafe_.label());
         findings.push(p.finding(
             FindingKind::EngineDisagreement,
             &format!("{sl} vs {ul}"),
@@ -485,12 +460,11 @@ fn check_program(
 
     if check_cache {
         counts.cache_checked = 1;
-        let mut uncached_config = CegarConfig::path_invariants();
-        uncached_config.caching = false;
         counts.engine_runs += 1;
         let cached = &verdicts[0].1.verdict;
-        let uncached =
-            run_engine(&TaskEngine::Cegar(uncached_config), &p.program, timeout_ms).verdict;
+        let uncached = &mut lanes[0];
+        uncached.disable_cegar_caching();
+        let uncached = run_engine(uncached).verdict;
         // A deadline firing on one side but not the other says nothing about
         // cache parity — cancelled is no-opinion on both sides.
         let either_cancelled = cached == "cancelled" || uncached == "cancelled";
@@ -528,7 +502,7 @@ fn certify_for(kind: FindingKind) -> bool {
 
 /// Shrinks each distinct `(kind, family, engine)` finding to a minimal
 /// scenario; duplicates of an already-shrunk group are dropped.
-fn shrink_findings(findings: Vec<Finding>, budget: usize) -> Vec<Finding> {
+fn shrink_findings(findings: Vec<Finding>) -> Vec<Finding> {
     let mut out: Vec<Finding> = Vec::new();
     let mut seen: Vec<(FindingKind, String, String)> = Vec::new();
     for finding in findings {
@@ -544,7 +518,8 @@ fn shrink_findings(findings: Vec<Finding>, budget: usize) -> Vec<Finding> {
         let index = finding.index;
         let kind = finding.kind;
         let check_cache = kind == FindingKind::CacheParity;
-        let (min, stats) = minimize(scenario, |s| still_fails(s, index, kind, check_cache), budget);
+        let (min, stats) =
+            minimize(scenario, |s| still_fails(s, index, kind, check_cache), SHRINK_BUDGET);
         let mut shrunk = finding;
         shrunk.shrunk = !stats.budget_exhausted;
         if let Realized::Kept(p) = realize(&min, index) {
@@ -566,7 +541,7 @@ fn shrink_findings(findings: Vec<Finding>, budget: usize) -> Vec<Finding> {
 
 /// Runs a full campaign: generate, cross-check in parallel, shrink.
 ///
-/// Deterministic in `(seed, count, cache_sample, shrink_budget)`: `jobs`
+/// Deterministic in `(seed, count, cache_sample)`: `jobs`
 /// only changes scheduling, never the report.
 pub fn run_fuzz(opts: &FuzzOptions) -> FuzzReport {
     let campaign = generate_campaign(opts.seed, opts.count);
@@ -634,7 +609,7 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzReport {
     findings.sort_by(|a, b| {
         (a.index, a.kind, a.engine.as_str()).cmp(&(b.index, b.kind, b.engine.as_str()))
     });
-    report.findings = shrink_findings(findings, opts.shrink_budget);
+    report.findings = shrink_findings(findings);
     report
 }
 

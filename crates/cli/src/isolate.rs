@@ -26,7 +26,6 @@
 //! and digest, which is all the protocol (and the verdict cache) persists.
 
 use crate::json::{self, Json};
-use crate::serve::engine_spec_named;
 use pathinv_core::{run_job, CancellationToken, EngineSpec, JobSpec};
 use pathinv_ir::parse_program;
 use pathinv_report::TaskReport;
@@ -189,7 +188,7 @@ pub fn run_one_job_main() -> i32 {
     let engine_name = request.get("engine").and_then(Json::as_str).unwrap_or("cegar");
     let refiner =
         request.get("refiner").and_then(Json::as_str).filter(|r| *r != pathinv_core::NO_REFINER);
-    let engine = match engine_spec_named(engine_name, refiner) {
+    let engine = match EngineSpec::named(engine_name, refiner) {
         Ok(engine) => engine,
         Err(e) => {
             eprintln!("run-one-job: {e}");

@@ -43,7 +43,7 @@ pub mod race;
 pub mod serve;
 pub mod smoke;
 
-use pathinv_core::{BmcConfig, CegarConfig, PdrConfig, RefinerKind, VerifierStats};
+use pathinv_core::{is_conclusive, Audit, JobOutcome, RefinerKind, VerifierStats};
 use pathinv_ir::{corpus, parse_program, Program};
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -57,11 +57,6 @@ pub use pathinv_core::{refiner_name, EngineSpec as TaskEngine, NO_REFINER};
 pub use pathinv_report::{engine_rank, json, TaskReport, SCHEMA_VERSION};
 
 use json::Json;
-
-/// Default refinement bound for the finite-path baseline, which is expected
-/// to diverge on the interesting programs; a modest bound keeps batch runs
-/// fast while still distinguishing "settled quickly" from "gave up".
-pub const DEFAULT_BASELINE_REFINEMENTS: usize = 6;
 
 /// One unit of work: a named program verified with one engine.
 pub struct BatchTask {
@@ -252,37 +247,35 @@ impl EngineChoice {
 
 /// Expands named programs into per-engine [`BatchTask`]s.
 ///
-/// CEGAR tasks are expanded per `refiners`; `max_refinements` overrides the
-/// per-refiner default bound (40 for path invariants,
-/// [`DEFAULT_BASELINE_REFINEMENTS`] for the baseline) when set.  BMC and
-/// PDR tasks use their default configurations.
+/// Every engine runs its [`TaskEngine::named`] default configuration; CEGAR
+/// tasks are expanded per `refiners`, and `max_refinements`, when set,
+/// overrides their refinement bound.
 pub fn make_tasks(
     programs: Vec<(String, Program)>,
     engines: EngineChoice,
     refiners: RefinerChoice,
     max_refinements: Option<usize>,
 ) -> Vec<BatchTask> {
-    let mut task_engines: Vec<TaskEngine> = Vec::new();
+    let mut names: Vec<(&str, Option<&str>)> = Vec::new();
     if matches!(engines, EngineChoice::Cegar | EngineChoice::Portfolio) {
-        for kind in refiners.kinds() {
-            let mut config = match kind {
-                RefinerKind::PathInvariants => CegarConfig::path_invariants(),
-                RefinerKind::PathPredicates => {
-                    CegarConfig::path_predicates(DEFAULT_BASELINE_REFINEMENTS)
-                }
-            };
-            if let Some(bound) = max_refinements {
-                config.max_refinements = bound;
-            }
-            task_engines.push(TaskEngine::Cegar(config));
-        }
+        names.extend(refiners.kinds().into_iter().map(|kind| ("cegar", Some(refiner_name(kind)))));
     }
     if matches!(engines, EngineChoice::Bmc | EngineChoice::Portfolio) {
-        task_engines.push(TaskEngine::Bmc(BmcConfig::default()));
+        names.push(("bmc", None));
     }
     if matches!(engines, EngineChoice::Pdr | EngineChoice::Portfolio) {
-        task_engines.push(TaskEngine::Pdr(PdrConfig::default()));
+        names.push(("pdr", None));
     }
+    let task_engines: Vec<TaskEngine> = names
+        .into_iter()
+        .map(|(engine, refiner)| {
+            let mut spec = TaskEngine::named(engine, refiner).expect("a built-in engine name");
+            if let (TaskEngine::Cegar(config), Some(bound)) = (&mut spec, max_refinements) {
+                config.max_refinements = bound;
+            }
+            spec
+        })
+        .collect();
     let mut tasks = Vec::new();
     for (name, program) in programs {
         for engine in &task_engines {
@@ -317,52 +310,62 @@ pub(crate) fn run_task_with_cancel(
     let outcome = pathinv_core::run_job(&task.job_spec(), &task.program, token);
     let mut report = TaskReport::from_outcome(task.program_name.clone(), &task.engine, &outcome);
     if task.certify {
-        let (cert_verdict, cert_reason, cert_check_ms) =
-            audit_certificate(&task.program, outcome.certificate.as_ref(), &report.verdict);
-        report.cert_verdict = cert_verdict;
-        report.cert_reason = cert_reason;
-        report.cert_check_ms = cert_check_ms;
+        record_audit(&mut report, &task.program, &outcome);
     }
     report
 }
 
-/// Audits one certificate with the independent checker, timing the check.
-/// A missing certificate on an *inconclusive* (or errored) verdict is the
-/// vacuous pass: the verdict claims nothing, so there is nothing to audit —
-/// `--certify` treats it as passing by design.  A missing certificate on a
-/// conclusive verdict, by contrast, is reported as `"missing"`: an engine
-/// claimed safety or unsafety without the proof artifact to back it.  A
-/// certificate whose polarity contradicts the verdict (a trace attached to
-/// `safe`, an invariant map attached to `unsafe`) is `"invalid"` before the
-/// checker even runs — it could not certify the claim no matter its content.
-fn audit_certificate(
-    program: &Program,
-    certificate: Option<&pathinv_check::Certificate>,
-    verdict: &str,
-) -> (String, String, f64) {
-    let conclusive = verdict == "safe" || verdict == "unsafe";
-    let Some(cert) = certificate else {
-        return if conclusive {
-            ("missing".to_string(), "conclusive verdict without a certificate".to_string(), 0.0)
-        } else {
-            ("vacuous".to_string(), String::new(), 0.0)
-        };
+/// Fills a report's audit fields from [`pathinv_core::audit`], in the batch
+/// and race vocabulary: no certificate is `vacuous` on an inconclusive
+/// verdict and `missing` on a conclusive one, a certificate the verdict
+/// cannot carry is `invalid` without running the checker, and otherwise the
+/// checker's verdict, reason, and time are recorded.
+fn record_audit(report: &mut TaskReport, program: &Program, outcome: &JobOutcome) {
+    let verdict = &outcome.verdict;
+    let (cert_verdict, reason, check_ms) = match pathinv_core::audit(program, outcome) {
+        Audit::NoCertificate if is_conclusive(verdict) => {
+            ("missing", "conclusive verdict without a certificate".to_string(), 0.0)
+        }
+        Audit::NoCertificate => ("vacuous", String::new(), 0.0),
+        Audit::Mismatch { kind } => {
+            ("invalid", format!("a {kind} certificate cannot back a {verdict} verdict"), 0.0)
+        }
+        Audit::Checked(v, ms) => (v.name(), v.reason().unwrap_or_default().to_string(), ms),
     };
-    if cert.claims_safety() != (verdict == "safe") {
-        return (
-            "invalid".to_string(),
+    report.cert_verdict = cert_verdict.to_string();
+    report.cert_reason = reason;
+    report.cert_check_ms = check_ms;
+}
+
+/// Every reason a batch or race run fails, one line each: a safe-vs-unsafe
+/// conflict between engines on one program (the
+/// [`differential`] rule), an errored task, and a failed certificate audit
+/// ([`audit_failures`]).  The CLI exits 1 when the list is non-empty.
+pub fn failures<'a>(tasks: impl IntoIterator<Item = &'a TaskReport> + Clone) -> Vec<String> {
+    let diff = differential::DifferentialReport::from_tasks(tasks.clone());
+    let disagreements =
+        diff.disagreements().into_iter().map(|d| format!("verdict disagreement: {d}"));
+    disagreements.chain(diff.errors()).chain(audit_failures(tasks)).collect()
+}
+
+/// The audited tasks whose certificate audit failed — `invalid`, `missing`,
+/// or `unsupported` — rendered one per line.  Tasks run without `--certify`
+/// carry no audit verdict and never appear.
+pub fn audit_failures<'a>(tasks: impl IntoIterator<Item = &'a TaskReport>) -> Vec<String> {
+    tasks
+        .into_iter()
+        .filter(|t| matches!(t.cert_verdict.as_str(), "invalid" | "missing" | "unsupported"))
+        .map(|t| {
             format!(
-                "certificate polarity mismatch: {} certificate for a {verdict} verdict",
-                cert.kind()
-            ),
-            0.0,
-        );
-    }
-    let start = Instant::now();
-    let outcome =
-        pathinv_check::check_certificate(program, cert, &pathinv_check::CheckLimits::default());
-    let check_ms = start.elapsed().as_secs_f64() * 1e3;
-    (outcome.name().to_string(), outcome.reason().unwrap_or_default().to_string(), check_ms)
+                "{}: {} verdict {} has certificate audit {}: {}",
+                t.program_name,
+                t.engine_label(),
+                t.verdict,
+                t.cert_verdict,
+                t.cert_reason
+            )
+        })
+        .collect()
 }
 
 /// Runs every task across `jobs` worker threads and collects a report.
@@ -554,7 +557,7 @@ mod tests {
         let TaskEngine::Cegar(c0) = &tasks[0].engine else { panic!("cegar expected") };
         let TaskEngine::Cegar(c1) = &tasks[1].engine else { panic!("cegar expected") };
         assert_eq!(c0.max_refinements, 40);
-        assert_eq!(c1.max_refinements, DEFAULT_BASELINE_REFINEMENTS);
+        assert_eq!(c1.max_refinements, pathinv_core::DEFAULT_BASELINE_REFINEMENTS);
     }
 
     #[test]
@@ -596,6 +599,37 @@ mod tests {
         for t in &report.tasks {
             assert_eq!(t.verdict, "unsafe", "{}: {}", t.engine_label(), t.detail);
         }
+    }
+
+    #[test]
+    fn a_certificate_on_an_unknown_verdict_fails_the_audit() {
+        // An inconclusive verdict claims nothing, so a trace certificate
+        // riding on it is `invalid` without a checker run (the trace itself
+        // would check), and it fails a batch run and a race alike.
+        let program = parse_program("proc bug(x: int) { x = 1; assert(x == 2); }").unwrap();
+        let engine = TaskEngine::named("bmc", None).unwrap();
+        let spec = pathinv_core::JobSpec::new(engine.clone());
+        let outcome =
+            pathinv_core::run_job(&spec, &program, &pathinv_core::CancellationToken::new());
+        assert_eq!(outcome.verdict, "unsafe");
+        let unknown = JobOutcome { verdict: "unknown".to_string(), ..outcome };
+        let mut report = TaskReport::from_outcome("bug".to_string(), &engine, &unknown);
+        record_audit(&mut report, &program, &unknown);
+        assert_eq!(report.cert_verdict, "invalid", "{}", report.cert_reason);
+        assert_eq!(report.cert_check_ms, 0.0, "the checker never ran");
+        assert_eq!(failures([&report]).len(), 1);
+        let race = race::RaceReport {
+            jobs: 1,
+            wall_ms_total: 0.0,
+            programs: vec![race::RaceProgram {
+                program: "bug".to_string(),
+                winner: "-".to_string(),
+                verdict: "unknown".to_string(),
+                wall_ms: 0.0,
+                lanes: vec![report],
+            }],
+        };
+        assert_eq!(race.certificate_failures().len(), 1);
     }
 
     #[test]

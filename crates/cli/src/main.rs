@@ -8,9 +8,11 @@
 //! and fail on any disagreement.
 
 use pathinv_cli::differential::DifferentialReport;
+use pathinv_cli::json::Json;
 use pathinv_cli::{
     corpus_programs, load_pinv_file, make_tasks, run_batch, EngineChoice, RefinerChoice,
 };
+use pathinv_ir::Program;
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -57,8 +59,6 @@ SERVE OPTIONS:
                            rejected with status \"overloaded\" (default: 64)
     --timeout-ms <N>       default per-job deadline for jobs that do not carry
                            their own timeout_ms
-    --drain-grace-ms <N>   how long a shutdown drain waits for in-flight jobs
-                           before cancelling them (default: 5000)
     --isolate <MODE>       thread (default) runs jobs on worker threads with
                            catch_unwind isolation; process re-execs each job
                            as a child of this binary, hard-killed on deadline,
@@ -94,26 +94,24 @@ FUZZ OPTIONS:
     --json <PATH>          write the deterministic JSON report (`-` = stdout)
     --reproducers <DIR>    write each shrunk finding as a .pinv reproducer
     --cache-sample <N>     programs also checked cached-vs-uncached (default: 10)
-    --shrink-budget <N>    candidate scenarios tested per finding (default: 48)
     --timeout-ms <N>       per-engine-run deadline; an expired run reports the
                            no-opinion `cancelled` and is never a finding
     --certify              audit every engine certificate with the independent
                            checker; a conclusive verdict without a valid
-                           certificate is a finding
+                           certificate, or an inconclusive one with any
+                           certificate, is a finding
     --quiet                suppress the campaign summary
 
 OPTIONS:
     --all                  verify every program in pathinv_ir::corpus
     --engine <WHICH>       cegar | bmc | pdr | portfolio (default: cegar);
                            portfolio runs every engine per program across the
-                           worker pool, reports the combined verdict, and
-                           exits 1 on any cross-engine verdict disagreement
+                           worker pool and reports the combined verdict
     --race                 race the four portfolio lanes per program instead
                            of running them all to completion: the first
                            conclusive verdict cancels the other lanes
                            cooperatively; reports the winner and every
-                           lane's time-to-first-verdict, and exits 1 if two
-                           conclusive lanes ever disagree
+                           lane's time-to-first-verdict
     --refiner <WHICH>      path-invariants | path-predicates | both
                            (default: both; applies to cegar tasks)
     --max-refinements <N>  override the refinement bound for cegar tasks
@@ -125,8 +123,9 @@ OPTIONS:
     --certify              audit every verdict's certificate with the
                            independent pathinv-check crate: conclusive
                            verdicts must carry a certificate the checker
-                           validates (inconclusive ones pass vacuously);
-                           exits 1 on any rejected or missing certificate
+                           validates, inconclusive ones must carry none
+                           (and then pass vacuously); exits 1 on any
+                           rejected, missing, or misplaced certificate
     --json <PATH>          write the full JSON report to PATH (`-` = stdout)
     --golden <PATH>        write the deterministic golden snapshot to PATH,
                            only if the run passes (exit status 0); from the
@@ -138,9 +137,9 @@ OPTIONS:
 
 EXIT STATUS:
     0  all tasks completed (verdicts may be safe/unsafe/unknown)
-    1  at least one task errored, an input file failed to load, a
-       portfolio/race run found a cross-engine verdict disagreement, or a
-       --certify audit rejected a certificate
+    1  at least one task errored, an input file failed to load, two
+       engines (or race lanes) reached safe and unsafe on one program, or
+       a --certify audit failed
     2  usage error
 ";
 
@@ -295,39 +294,63 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// The `--race` path: race the portfolio lanes per program, print the race
-/// table, and hard-fail on any conclusive-lane disagreement or lane error.
-fn race_main(
-    programs: Vec<(String, pathinv_ir::Program)>,
-    opts: &Options,
-    load_failures: usize,
-) -> ExitCode {
+/// A finished batch or race run, as the one report-and-exit path of
+/// [`main`] consumes it.
+struct Run {
+    /// The human-readable summary (`--quiet` suppresses it).
+    table: String,
+    /// The full JSON report (`--json`).
+    doc: Json,
+    /// Every reason the run fails ([`pathinv_cli::failures`]).
+    failures: Vec<String>,
+    /// The golden snapshot (`--golden`); batch runs only.
+    golden: Option<Json>,
+}
+
+/// Races the portfolio lanes per program (`--race`).
+fn race_run(programs: Vec<(String, Program)>, opts: &Options) -> Run {
     let report = pathinv_cli::race::run_race(programs, opts.jobs, opts.certify, opts.timeout_ms);
-    if !opts.quiet {
-        print!("{}", report.render_table());
+    Run {
+        table: report.render_table(),
+        doc: report.to_json(),
+        failures: pathinv_cli::failures(report.lanes()),
+        golden: None,
     }
-    if let Some(path) = &opts.json_path {
-        if !write_output(path, &report.to_json().pretty()) {
-            return ExitCode::FAILURE;
+}
+
+/// Runs every (program, engine) task to completion; a portfolio run adds
+/// the differential section, a `--certify` run the audit tally.
+fn batch_run(programs: Vec<(String, Program)>, opts: &Options) -> Run {
+    let mut tasks = make_tasks(programs, opts.engines, opts.choice, opts.max_refinements);
+    for t in &mut tasks {
+        t.certify = opts.certify;
+        t.timeout_ms = opts.timeout_ms;
+    }
+    let report = run_batch(tasks, opts.jobs);
+    let mut table = report.render_table();
+    let mut doc = report.to_json();
+    if opts.engines.is_portfolio() {
+        let diff = DifferentialReport::from_batch(&report);
+        table.push_str(&diff.render_summary());
+        if let Json::Object(fields) = &mut doc {
+            fields.push(("differential".to_string(), diff.to_json()));
         }
     }
-    let mismatches = report.mismatches();
-    for m in &mismatches {
-        eprintln!("error: race verdict mismatch: {m}");
+    if opts.certify {
+        let count = |v: &str| report.tasks.iter().filter(|t| t.cert_verdict == v).count();
+        let check_ms: f64 = report.tasks.iter().map(|t| t.cert_check_ms).sum();
+        table.push_str(&format!(
+            "certificates: {} validated, {} vacuous, {} failed, checker time {check_ms:.1} ms\n",
+            count("valid"),
+            count("vacuous"),
+            pathinv_cli::audit_failures(&report.tasks).len(),
+        ));
     }
-    let errors = report.errors();
-    for e in &errors {
-        eprintln!("error: {e}");
-    }
-    let cert_failures = if opts.certify { report.certificate_failures() } else { Vec::new() };
-    for c in &cert_failures {
-        eprintln!("error: {c}");
-    }
-    if mismatches.is_empty() && errors.is_empty() && cert_failures.is_empty() && load_failures == 0
-    {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    Run {
+        table,
+        doc,
+        failures: pathinv_cli::failures(&report.tasks),
+        golden: Some(report.to_golden_json()),
     }
 }
 
@@ -346,7 +369,6 @@ fn fuzz_main(args: &[String]) -> ExitCode {
                 "--count" => opts.count = args.parse(arg)?,
                 "--jobs" => opts.jobs = args.positive(arg)?,
                 "--cache-sample" => opts.cache_sample = args.parse(arg)?,
-                "--shrink-budget" => opts.shrink_budget = args.parse(arg)?,
                 "--timeout-ms" => opts.timeout_ms = Some(args.positive(arg)?),
                 "--json" => json_path = Some(args.value(arg)?),
                 "--reproducers" => reproducer_dir = Some(args.value(arg)?),
@@ -407,7 +429,6 @@ fn serve_main(args: &[String]) -> ExitCode {
                 "--workers" => config.workers = args.positive(arg)?,
                 "--queue" => config.queue_capacity = args.positive(arg)?,
                 "--timeout-ms" => config.default_timeout_ms = Some(args.positive(arg)?),
-                "--drain-grace-ms" => config.drain_grace_ms = args.parse(arg)?,
                 "--isolate" => {
                     config.isolation = match args.value(arg)?.as_str() {
                         "thread" => pathinv_cli::serve::IsolationMode::Thread,
@@ -528,71 +549,24 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    if opts.race {
-        return race_main(programs, &opts, load_failures);
-    }
-
-    let mut tasks = make_tasks(programs, opts.engines, opts.choice, opts.max_refinements);
-    if opts.certify {
-        for t in &mut tasks {
-            t.certify = true;
-        }
-    }
-    if opts.timeout_ms.is_some() {
-        for t in &mut tasks {
-            t.timeout_ms = opts.timeout_ms;
-        }
-    }
-    let report = run_batch(tasks, opts.jobs);
-    let differential = opts.engines.is_portfolio().then(|| DifferentialReport::from_batch(&report));
-
+    let run = if opts.race { race_run(programs, &opts) } else { batch_run(programs, &opts) };
     if !opts.quiet {
-        print!("{}", report.render_table());
-        if let Some(diff) = &differential {
-            print!("{}", diff.render_summary());
-        }
+        print!("{}", run.table);
     }
     if let Some(path) = &opts.json_path {
-        let mut doc = report.to_json();
-        if let (Some(diff), pathinv_cli::json::Json::Object(fields)) = (&differential, &mut doc) {
-            fields.push(("differential".to_string(), diff.to_json()));
-        }
-        if !write_output(path, &doc.pretty()) {
+        if !write_output(path, &run.doc.pretty()) {
             return ExitCode::FAILURE;
         }
     }
-    let errors = report.tasks.iter().filter(|t| t.verdict == "error").count();
-    let disagreements = differential.as_ref().map(|d| d.disagreements().len()).unwrap_or(0);
-    if disagreements > 0 {
-        eprintln!("error: {disagreements} cross-engine verdict disagreement(s)");
+    for f in &run.failures {
+        eprintln!("error: {f}");
     }
-    let mut cert_failures = 0usize;
-    if opts.certify {
-        for t in &report.tasks {
-            if matches!(t.cert_verdict.as_str(), "invalid" | "missing" | "unsupported") {
-                eprintln!(
-                    "error: {}/{}: {} verdict has certificate audit {}: {}",
-                    t.program_name, t.engine, t.verdict, t.cert_verdict, t.cert_reason
-                );
-                cert_failures += 1;
-            }
-        }
-        if !opts.quiet {
-            let valid = report.tasks.iter().filter(|t| t.cert_verdict == "valid").count();
-            let vacuous = report.tasks.iter().filter(|t| t.cert_verdict == "vacuous").count();
-            let check_ms: f64 = report.tasks.iter().map(|t| t.cert_check_ms).sum();
-            println!(
-                "certificates: {valid} validated, {vacuous} vacuous, {cert_failures} failed, \
-                 checker time {check_ms:.1} ms"
-            );
-        }
-    }
-    let passed = errors == 0 && load_failures == 0 && disagreements == 0 && cert_failures == 0;
-    if let Some(path) = &opts.golden_path {
+    let passed = run.failures.is_empty() && load_failures == 0;
+    if let (Some(path), Some(golden)) = (&opts.golden_path, &run.golden) {
         // A golden pins whatever the run produced, so a failing run must
         // not overwrite the committed one.
         if passed {
-            if !write_output(path, &report.to_golden_json().pretty()) {
+            if !write_output(path, &golden.pretty()) {
                 return ExitCode::FAILURE;
             }
         } else {

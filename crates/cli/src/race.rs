@@ -14,8 +14,10 @@
 //! they are never part of a golden projection.  What *is* checked, hard:
 //!
 //! * every conclusive lane in a race must agree with every other
-//!   ([`RaceReport::mismatches`]; the CLI exits 1 otherwise, and the
-//!   `race-smoke` CI job runs exactly that over the corpus), and
+//!   ([`RaceReport::mismatches`]) and, under `certify`, pass the batch
+//!   audit ([`RaceReport::certificate_failures`]); the CLI exits 1
+//!   otherwise, and the `race-smoke` CI job runs exactly that over the
+//!   corpus with `--certify`, and
 //! * racing verdicts must match the non-racing portfolio's combined
 //!   verdicts ([`RaceReport::mismatches_against_portfolio`]; the corpus
 //!   regression test, `tests/corpus_regression.rs`, races the whole corpus
@@ -32,8 +34,9 @@ use crate::{
     engine_rank, make_tasks, run_task_with_cancel, EngineChoice, RefinerChoice, TaskReport,
     SCHEMA_VERSION,
 };
-use pathinv_core::CancellationToken;
+use pathinv_core::{is_conclusive, CancellationToken};
 use pathinv_ir::Program;
+use pathinv_report::round3;
 use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -56,13 +59,6 @@ pub struct RaceProgram {
     /// `wall_ms` is its time-to-first-verdict: how long after race start it
     /// returned, whether with a real verdict or with `cancelled`.
     pub lanes: Vec<TaskReport>,
-}
-
-impl RaceProgram {
-    /// The lanes that reached a conclusive verdict, in engine order.
-    fn conclusive(&self) -> impl Iterator<Item = &TaskReport> {
-        self.lanes.iter().filter(|l| l.verdict == "safe" || l.verdict == "unsafe")
-    }
 }
 
 /// The outcome of racing the portfolio over a whole program set.
@@ -152,8 +148,7 @@ fn race_one(
         // The coordinator: collect lane results in arrival order, and on
         // the first conclusive verdict cancel every other lane.
         while let Ok((i, report)) = rx.recv() {
-            let conclusive = report.verdict == "safe" || report.verdict == "unsafe";
-            if conclusive && decision_ms.is_none() {
+            if is_conclusive(&report.verdict) && decision_ms.is_none() {
                 decision_ms = Some(report.wall_ms);
                 for (j, token) in tokens.iter().enumerate() {
                     if j != i {
@@ -166,12 +161,11 @@ fn race_one(
     });
     let lanes: Vec<TaskReport> = lanes.into_iter().map(|l| l.expect("lane lost")).collect();
     // Winner: earliest conclusive lane, ties broken by engine priority.
-    let winner =
-        lanes.iter().filter(|l| l.verdict == "safe" || l.verdict == "unsafe").min_by(|a, b| {
-            (a.wall_ms, engine_rank(&a.engine, &a.refiner))
-                .partial_cmp(&(b.wall_ms, engine_rank(&b.engine, &b.refiner)))
-                .expect("lane times are finite")
-        });
+    let winner = lanes.iter().filter(|l| is_conclusive(&l.verdict)).min_by(|a, b| {
+        (a.wall_ms, engine_rank(&a.engine, &a.refiner))
+            .partial_cmp(&(b.wall_ms, engine_rank(&b.engine, &b.refiner)))
+            .expect("lane times are finite")
+    });
     let (winner_label, verdict, wall_ms) = match winner {
         Some(w) => (w.engine_label(), w.verdict.clone(), decision_ms.unwrap_or(w.wall_ms)),
         None => {
@@ -184,27 +178,18 @@ fn race_one(
 }
 
 impl RaceReport {
+    /// Every lane of every race, in program and engine order.
+    pub fn lanes(&self) -> impl Iterator<Item = &TaskReport> + Clone {
+        self.programs.iter().flat_map(|p| &p.lanes)
+    }
+
     /// Conclusive lanes that contradict each other within one race (empty =
-    /// every race is internally consistent).  The soundness contract makes
-    /// any entry here a bug in an engine, exactly as in the non-racing
-    /// differential harness; the CLI hard-fails on it.
+    /// every race is internally consistent), by the differential harness's
+    /// [conflict rule](crate::differential::ProgramDiff::conflict).  The
+    /// soundness contract makes any entry here a bug in an engine; the CLI
+    /// hard-fails on it.
     pub fn mismatches(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for p in &self.programs {
-            let safe: Vec<&TaskReport> = p.conclusive().filter(|l| l.verdict == "safe").collect();
-            let unsafe_: Vec<&TaskReport> =
-                p.conclusive().filter(|l| l.verdict == "unsafe").collect();
-            if !safe.is_empty() && !unsafe_.is_empty() {
-                let spell = |ls: &[&TaskReport]| {
-                    ls.iter()
-                        .map(|l| format!("{} says {}", l.engine_label(), l.verdict))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                };
-                out.push(format!("{}: {}, {}", p.program, spell(&safe), spell(&unsafe_)));
-            }
-        }
-        out
+        DifferentialReport::from_tasks(self.lanes()).disagreements()
     }
 
     /// Race verdicts that contradict a (non-racing) portfolio run's combined
@@ -215,14 +200,14 @@ impl RaceReport {
     pub fn mismatches_against_portfolio(&self, portfolio: &DifferentialReport) -> Vec<String> {
         let mut out = Vec::new();
         for p in &self.programs {
-            if p.verdict != "safe" && p.verdict != "unsafe" {
+            if !is_conclusive(&p.verdict) {
                 continue;
             }
             let Some(diff) = portfolio.programs.iter().find(|d| d.program == p.program) else {
                 continue;
             };
             let combined = diff.combined.as_str();
-            if (combined == "safe" || combined == "unsafe") && combined != p.verdict {
+            if is_conclusive(combined) && combined != p.verdict {
                 out.push(format!(
                     "{}: race says {} ({}), portfolio says {}",
                     p.program, p.verdict, p.winner, combined
@@ -232,53 +217,24 @@ impl RaceReport {
         out
     }
 
-    /// Certificate audits that failed, rendered per lane.  Only populated
-    /// when the race ran with `certify`: a conclusive lane whose certificate
-    /// the independent checker rejected (`invalid`), that emitted none
-    /// (`missing`), or whose certificate the checker could not decide
-    /// (`unsupported`).  Vacuous passes — cancelled/unknown lanes with
-    /// nothing to certify — never appear here.
+    /// Certificate audits that failed, rendered per lane
+    /// ([`crate::audit_failures`]).  Only populated when the race ran with
+    /// `certify`; vacuous passes — cancelled/unknown lanes with nothing to
+    /// certify — never appear here.
     pub fn certificate_failures(&self) -> Vec<String> {
-        self.programs
-            .iter()
-            .flat_map(|p| {
-                p.lanes
-                    .iter()
-                    .filter(|l| {
-                        matches!(l.cert_verdict.as_str(), "invalid" | "missing" | "unsupported")
-                    })
-                    .map(move |l| {
-                        format!(
-                            "{}: {} verdict {} has certificate audit {}: {}",
-                            p.program,
-                            l.engine_label(),
-                            l.verdict,
-                            l.cert_verdict,
-                            l.cert_reason
-                        )
-                    })
-            })
-            .collect()
+        crate::audit_failures(self.lanes())
     }
 
-    /// Races whose lanes errored, rendered per program.
+    /// Lanes that errored, rendered per program.
     pub fn errors(&self) -> Vec<String> {
-        self.programs
-            .iter()
-            .flat_map(|p| {
-                p.lanes.iter().filter(|l| l.verdict == "error").map(move |l| {
-                    format!("{}: {} errored: {}", p.program, l.engine_label(), l.detail)
-                })
-            })
-            .collect()
+        DifferentialReport::from_tasks(self.lanes()).errors()
     }
 
     /// The full JSON rendering of a race run.  Per program: the winner, the
     /// race verdict, the time to decision, and every lane's verdict with its
     /// time-to-first-verdict.  Never used as a golden projection.
     pub fn to_json(&self) -> Json {
-        let decided =
-            self.programs.iter().filter(|p| p.verdict == "safe" || p.verdict == "unsafe").count();
+        let decided = self.programs.iter().filter(|p| is_conclusive(&p.verdict)).count();
         Json::object(vec![
             ("schema_version", Json::Int(SCHEMA_VERSION)),
             ("mode", Json::Str("race".to_string())),
@@ -386,8 +342,7 @@ impl RaceReport {
             ));
         }
         out.push_str(&format!("{}\n", "-".repeat(rule)));
-        let decided =
-            self.programs.iter().filter(|p| p.verdict == "safe" || p.verdict == "unsafe").count();
+        let decided = self.programs.iter().filter(|p| is_conclusive(&p.verdict)).count();
         out.push_str(&format!(
             "{} programs raced on {} workers in {:.1} ms: {} decided, {} mismatches, {} lane errors\n",
             self.programs.len(),
@@ -399,10 +354,6 @@ impl RaceReport {
         ));
         out
     }
-}
-
-fn round3(x: f64) -> f64 {
-    (x * 1e3).round() / 1e3
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //!   beyond that, submissions are rejected immediately with
 //!   `status: "overloaded"` instead of growing memory without bound.
 //! * **Graceful shutdown.**  SIGTERM or `{"op":"shutdown"}` stops
-//!   admission, lets in-flight jobs finish within `--drain-grace-ms`,
+//!   admission, lets in-flight jobs finish within a drain grace period,
 //!   cancels whatever is still queued or running after the grace, flushes
 //!   the verdict cache, and exits 0.
 //! * **Persistent memoization.**  Deterministic verdicts are cached in the
@@ -62,8 +62,7 @@ use crate::cache::{CacheChaos, VerdictCache};
 use crate::isolate::{run_job_in_child, ChildRun};
 use crate::json::{self, Json};
 use pathinv_core::{
-    job_fingerprint, run_job, CancellationToken, CegarConfig, EngineSpec, JobOutcome, JobSpec,
-    VerifierStats,
+    job_fingerprint, run_job, CancellationToken, EngineSpec, JobOutcome, JobSpec, VerifierStats,
 };
 use pathinv_ir::{parse_program, Program};
 use pathinv_report::{round3, TaskReport, SCHEMA_VERSION};
@@ -947,7 +946,7 @@ fn parse_verify_request(
     let program = parse_program(source).map_err(|e| format!("program parse error: {e}"))?;
     let engine_name = request.get("engine").and_then(Json::as_str).unwrap_or("cegar");
     let refiner = request.get("refiner").and_then(Json::as_str);
-    let engine = engine_spec_named(engine_name, refiner)?;
+    let engine = EngineSpec::named(engine_name, refiner)?;
     let timeout_ms = match request.get("timeout_ms") {
         Some(Json::Int(ms)) if *ms > 0 => Some(*ms as u64),
         Some(Json::Int(_)) => return Err("`timeout_ms` must be positive".to_string()),
@@ -956,28 +955,6 @@ fn parse_verify_request(
     };
     let name = request.get("name").and_then(Json::as_str).map(str::to_string);
     Ok((name, source.to_string(), program, engine, timeout_ms))
-}
-
-/// Resolves the protocol's engine/refiner naming to an [`EngineSpec`] with
-/// default configurations (the same ones batch mode runs).
-pub fn engine_spec_named(engine: &str, refiner: Option<&str>) -> Result<EngineSpec, String> {
-    match (engine, refiner) {
-        ("cegar", None | Some("path-invariants")) => {
-            Ok(EngineSpec::Cegar(CegarConfig::path_invariants()))
-        }
-        ("cegar", Some("path-predicates")) => {
-            Ok(EngineSpec::Cegar(CegarConfig::path_predicates(crate::DEFAULT_BASELINE_REFINEMENTS)))
-        }
-        ("cegar", Some(other)) => Err(format!("unknown refiner `{other}`")),
-        ("bmc", _) => Ok(EngineSpec::Bmc(Default::default())),
-        ("pdr", _) => Ok(EngineSpec::Pdr(Default::default())),
-        ("panic-shim", _) => Ok(EngineSpec::PanicShim),
-        ("spin-shim", _) => Ok(EngineSpec::SpinShim),
-        ("abort-shim", _) => Ok(EngineSpec::AbortShim),
-        ("memhog-shim", _) => Ok(EngineSpec::MemHogShim),
-        ("flaky-shim", _) => Ok(EngineSpec::FlakyShim),
-        (other, _) => Err(format!("unknown engine `{other}`")),
-    }
 }
 
 /// The fast-fail response for submissions against a quarantined engine.
@@ -1395,17 +1372,19 @@ mod tests {
 
     #[test]
     fn engine_spec_named_covers_the_protocol_vocabulary() {
-        assert!(engine_spec_named("cegar", None).is_ok());
-        assert!(engine_spec_named("cegar", Some("path-predicates")).is_ok());
-        assert!(engine_spec_named("cegar", Some("mystery")).is_err());
-        assert!(engine_spec_named("bmc", None).is_ok());
-        assert!(engine_spec_named("pdr", None).is_ok());
-        assert!(engine_spec_named("panic-shim", None).is_ok());
-        assert!(engine_spec_named("spin-shim", None).is_ok());
-        assert!(engine_spec_named("abort-shim", None).is_ok());
-        assert!(engine_spec_named("memhog-shim", None).is_ok());
-        assert!(engine_spec_named("flaky-shim", None).is_ok());
-        assert!(engine_spec_named("z3", None).is_err());
+        for name in ["panic-shim", "spin-shim", "abort-shim", "memhog-shim", "flaky-shim"] {
+            let spec = EngineSpec::named(name, None).unwrap();
+            assert_eq!(spec.engine_name(), name);
+            assert!(spec.is_shim());
+        }
+        let Ok(EngineSpec::Cegar(baseline)) = EngineSpec::named("cegar", Some("path-predicates"))
+        else {
+            panic!("the baseline refiner is a cegar spec")
+        };
+        assert_eq!(baseline.refiner, pathinv_core::RefinerKind::PathPredicates);
+        assert_eq!(baseline.max_refinements, pathinv_core::DEFAULT_BASELINE_REFINEMENTS);
+        assert!(EngineSpec::named("cegar", Some("mystery")).is_err());
+        assert!(EngineSpec::named("z3", None).is_err());
     }
 
     /// `flaky-shim` faults on multi-variable programs and succeeds on

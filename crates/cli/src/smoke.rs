@@ -212,7 +212,7 @@ type Reference = BTreeMap<String, (String, String)>;
 /// *calling* process has accumulated: a warm cache can steer CEGAR to a
 /// different (equally valid) invariant with a different certificate digest.
 fn reference_verdicts(corpus: &[(String, String)]) -> Result<Reference, String> {
-    let engine = crate::serve::engine_spec_named("cegar", None)?;
+    let engine = pathinv_core::EngineSpec::named("cegar", None)?;
     let token = CancellationToken::new();
     let mut reference = BTreeMap::new();
     for (name, source) in corpus {

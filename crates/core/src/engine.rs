@@ -2,8 +2,8 @@
 //!
 //! The workspace grew from a single CEGAR driver into a portfolio of
 //! complementary algorithms — CEGAR with path-invariant refinement
-//! ([`Verifier`]), bounded model checking ([`BmcEngine`]), and
-//! property-directed reachability ([`PdrEngine`]).
+//! ([`Verifier`]), bounded model checking ([`BmcEngine`](crate::BmcEngine)),
+//! and property-directed reachability ([`PdrEngine`](crate::PdrEngine)).
 //! [`VerificationEngine`] is the contract
 //! they all satisfy, so that harnesses (the batch CLI, the differential
 //! corpus checker, the benchmarks) can treat engines uniformly.
@@ -59,14 +59,14 @@
 //!   `Cancelled`.
 //!
 //! ```
-//! use pathinv_core::{engine_named, Verdict, VerificationEngine};
+//! use pathinv_core::{EngineSpec, Verdict, VerificationEngine};
 //! use pathinv_ir::parse_program;
 //! use pathinv_smt::CancellationToken;
 //!
 //! let program = parse_program(
 //!     "proc bug(x: int) { x = 1; assert(x == 2); }",
 //! )?;
-//! let engine = engine_named("cegar").expect("known engine");
+//! let engine = EngineSpec::named("cegar", None)?.build();
 //!
 //! // A pre-cancelled token stops the run at its first poll: the result is
 //! // the honest `Cancelled`, never a wrong (or wrongly-reasoned) verdict.
@@ -97,7 +97,7 @@
 //! # Example
 //!
 //! ```
-//! use pathinv_core::{engine_named, VerificationEngine};
+//! use pathinv_core::{EngineSpec, VerificationEngine};
 //! use pathinv_ir::parse_program;
 //!
 //! let program = parse_program(
@@ -105,17 +105,15 @@
 //! )?;
 //! // Every engine finds this straight-line bug.
 //! for name in ["cegar", "bmc", "pdr"] {
-//!     let engine = engine_named(name).expect("known engine");
+//!     let engine = EngineSpec::named(name, None)?.build();
 //!     let result = engine.verify(&program)?;
 //!     assert!(result.verdict.is_unsafe(), "{name}: {:?}", result.verdict);
 //! }
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::bmc::BmcEngine;
 use crate::cegar::{Verdict, VerificationResult, Verifier};
 use crate::error::CoreResult;
-use crate::pdr::PdrEngine;
 use pathinv_ir::Program;
 use pathinv_smt::CancellationToken;
 
@@ -170,21 +168,6 @@ impl VerificationEngine for Verifier {
     }
 }
 
-/// Constructs a default-configured engine by its report name
-/// (`"cegar"`, `"bmc"`, or `"pdr"`); returns `None` for unknown names.
-///
-/// Harnesses that need non-default configurations construct the engine types
-/// directly ([`Verifier::new`], [`BmcEngine::new`](crate::BmcEngine::new),
-/// [`PdrEngine::new`](crate::PdrEngine::new)).
-pub fn engine_named(name: &str) -> Option<Box<dyn VerificationEngine>> {
-    match name {
-        "cegar" => Some(Box::new(Verifier::path_invariants())),
-        "bmc" => Some(Box::new(BmcEngine::default())),
-        "pdr" => Some(Box::new(PdrEngine::default())),
-        _ => None,
-    }
-}
-
 /// Renders a verdict the way reports and the differential harness spell it:
 /// `"safe"`, `"unsafe"`, `"unknown"`, or `"cancelled"`.
 pub fn verdict_name(verdict: &Verdict) -> &'static str {
@@ -199,15 +182,18 @@ pub fn verdict_name(verdict: &Verdict) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::EngineSpec;
+    use crate::{BmcEngine, PdrEngine};
     use pathinv_ir::parse_program;
 
     #[test]
     fn engine_named_resolves_all_report_names() {
         for name in ["cegar", "bmc", "pdr"] {
-            let engine = engine_named(name).expect("known engine");
-            assert_eq!(engine.name(), name);
+            let spec = EngineSpec::named(name, None).expect("known engine");
+            assert_eq!(spec.engine_name(), name);
+            assert_eq!(spec.build().name(), name);
         }
-        assert!(engine_named("portfolio").is_none(), "portfolio is a harness, not an engine");
+        assert!(EngineSpec::named("portfolio", None).is_err(), "portfolio is a harness");
     }
 
     #[test]
@@ -215,7 +201,7 @@ mod tests {
         let safe = parse_program("proc ok(x: int) { x = 1; assert(x == 1); }").unwrap();
         let buggy = parse_program("proc bug(x: int) { x = 1; assert(x == 2); }").unwrap();
         for name in ["cegar", "bmc", "pdr"] {
-            let engine = engine_named(name).unwrap();
+            let engine = EngineSpec::named(name, None).unwrap().build();
             assert!(engine.verify(&safe).unwrap().verdict.is_safe(), "{name} on safe");
             assert!(engine.verify(&buggy).unwrap().verdict.is_unsafe(), "{name} on buggy");
         }
@@ -263,7 +249,7 @@ mod tests {
         // or a fabricated verdict is the bug this test guards against.
         let p = pathinv_ir::corpus::partition();
         for name in ["cegar", "bmc", "pdr"] {
-            let engine = engine_named(name).unwrap();
+            let engine = EngineSpec::named(name, None).unwrap().build();
             let full = engine.verify(&p).unwrap();
             let token = CancellationToken::new();
             let canceller = {

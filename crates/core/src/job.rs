@@ -27,6 +27,13 @@
 //! to prove that panic isolation, process isolation, deadline enforcement,
 //! and circuit breaking work in the real binary, not just in unit tests.
 //!
+//! [`EngineSpec::named`] is the one engine vocabulary: the batch task
+//! expansion, the service protocol, and the process-isolation child all
+//! resolve `"cegar"`/`"bmc"`/`"pdr"` (and the shims) through it.  [`audit`]
+//! is the one certificate audit: batch, race, and the fuzzer each render
+//! its [`Audit`] in their own report vocabulary, but none decides on its
+//! own whether a certificate may back a verdict.
+//!
 //! [`job_fingerprint`] is the persistent-cache key: a stable digest of the
 //! interned program structure and the engine configuration.  In-process the
 //! structure is identified by PR 4's interning tables (the CFG locations,
@@ -44,7 +51,7 @@ use crate::engine::VerificationEngine;
 use crate::error::CoreResult;
 use crate::pdr::{PdrConfig, PdrEngine};
 use crate::predabs::PredicateMap;
-use pathinv_check::Certificate;
+use pathinv_check::{check_certificate, CertVerdict, Certificate, CheckLimits};
 use pathinv_ir::{FormulaId, Program, SeqId, Term, TermId};
 use pathinv_smt::{enforce_deadline, CancellationToken};
 use std::fmt::Write as _;
@@ -53,6 +60,11 @@ use std::time::{Duration, Instant};
 /// The refiner column value for engines that have no refiner dimension
 /// (everything except CEGAR).
 pub const NO_REFINER: &str = "-";
+
+/// Default refinement bound for the finite-path baseline, which is expected
+/// to diverge on the interesting programs; a modest bound keeps batch runs
+/// fast while still distinguishing "settled quickly" from "gave up".
+pub const DEFAULT_BASELINE_REFINEMENTS: usize = 6;
 
 /// Renders a [`RefinerKind`] the way reports spell it.
 pub fn refiner_name(kind: RefinerKind) -> &'static str {
@@ -104,6 +116,34 @@ pub enum EngineSpec {
 }
 
 impl EngineSpec {
+    /// Resolves an engine name (and, for CEGAR, a refiner name; `None`
+    /// means path invariants) to its default configuration — the
+    /// configuration batch mode, the service protocol, and the fuzzer run.
+    /// Other engines ignore the refiner.
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown engine or refiner.
+    pub fn named(engine: &str, refiner: Option<&str>) -> Result<EngineSpec, String> {
+        Ok(match (engine, refiner) {
+            ("cegar", None | Some("path-invariants")) => {
+                EngineSpec::Cegar(CegarConfig::path_invariants())
+            }
+            ("cegar", Some("path-predicates")) => {
+                EngineSpec::Cegar(CegarConfig::path_predicates(DEFAULT_BASELINE_REFINEMENTS))
+            }
+            ("cegar", Some(other)) => return Err(format!("unknown refiner `{other}`")),
+            ("bmc", _) => EngineSpec::Bmc(BmcConfig::default()),
+            ("pdr", _) => EngineSpec::Pdr(PdrConfig::default()),
+            ("panic-shim", _) => EngineSpec::PanicShim,
+            ("spin-shim", _) => EngineSpec::SpinShim,
+            ("abort-shim", _) => EngineSpec::AbortShim,
+            ("memhog-shim", _) => EngineSpec::MemHogShim,
+            ("flaky-shim", _) => EngineSpec::FlakyShim,
+            (other, _) => return Err(format!("unknown engine `{other}`")),
+        })
+    }
+
     /// The engine's report name (`"cegar"`, `"bmc"`, `"pdr"`,
     /// `"panic-shim"`, `"spin-shim"`, `"abort-shim"`, `"memhog-shim"`,
     /// `"flaky-shim"`).
@@ -476,6 +516,45 @@ pub fn run_job(spec: &JobSpec, program: &Program, token: &CancellationToken) -> 
     }
 }
 
+/// Whether a report verdict is conclusive (`safe` or `unsafe`): the only
+/// verdicts that claim anything, need a certificate, or can conflict.
+pub fn is_conclusive(verdict: &str) -> bool {
+    matches!(verdict, "safe" | "unsafe")
+}
+
+/// The result of auditing one job's certificate against its verdict.
+#[derive(Clone, Debug)]
+pub enum Audit {
+    /// The job emitted no certificate: a vacuous pass on an inconclusive
+    /// verdict, a missing proof on a conclusive one.
+    NoCertificate,
+    /// A certificate the verdict cannot carry: one whose polarity
+    /// contradicts a conclusive verdict, or any certificate on an
+    /// inconclusive verdict (which claims nothing).  The checker does not
+    /// run; `kind` is the certificate's kind.
+    Mismatch {
+        /// [`Certificate::kind`] of the offending certificate.
+        kind: &'static str,
+    },
+    /// The independent checker's verdict and the wall-clock it spent, in
+    /// milliseconds.
+    Checked(CertVerdict, f64),
+}
+
+/// Audits a job's certificate with the independent checker — the one audit
+/// rule every harness applies (see [`Audit`] for its three outcomes).
+pub fn audit(program: &Program, outcome: &JobOutcome) -> Audit {
+    let Some(cert) = &outcome.certificate else {
+        return Audit::NoCertificate;
+    };
+    if !is_conclusive(&outcome.verdict) || cert.claims_safety() != (outcome.verdict == "safe") {
+        return Audit::Mismatch { kind: cert.kind() };
+    }
+    let start = Instant::now();
+    let verdict = check_certificate(program, cert, &CheckLimits::default());
+    Audit::Checked(verdict, start.elapsed().as_secs_f64() * 1e3)
+}
+
 /// The *in-process* structural identity of a program: PR 4's interned
 /// sequence over entry/error locations, the variable terms, and per
 /// transition the endpoint locations plus the [`FormulaId`] of its
@@ -631,6 +710,25 @@ mod tests {
         assert_eq!(outcome.verdict, "cancelled");
         assert!(!outcome.deadline_expired, "the hour-long deadline did not fire");
         assert_eq!(outcome.detail, "cancelled by the harness");
+    }
+
+    #[test]
+    fn audit_checks_only_certificates_the_verdict_can_carry() {
+        let program = parse_program(BUG).unwrap();
+        let spec = JobSpec::new(EngineSpec::Bmc(BmcConfig::default()));
+        let unsafe_run = run_job(&spec, &program, &CancellationToken::new());
+        assert!(matches!(audit(&program, &unsafe_run), Audit::Checked(CertVerdict::Valid, _)));
+        // The same trace cannot back a safe verdict, nor an inconclusive one
+        // that claims nothing: the checker never sees either.
+        for verdict in ["safe", "unknown", "cancelled", "error"] {
+            let outcome = JobOutcome { verdict: verdict.to_string(), ..unsafe_run.clone() };
+            assert!(
+                matches!(audit(&program, &outcome), Audit::Mismatch { kind: "trace" }),
+                "{verdict}"
+            );
+        }
+        let bare = JobOutcome { certificate: None, ..unsafe_run };
+        assert!(matches!(audit(&program, &bare), Audit::NoCertificate));
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //!   interpolants.
 //! * [`job`] — the fault-isolated job abstraction every harness shares:
 //!   panic containment, wall-clock deadlines, fault-injection engine shims,
-//!   and the stable job fingerprint keying the persistent verdict cache.
+//!   the one engine vocabulary ([`EngineSpec::named`]), the one
+//!   certificate audit ([`audit`]), and the stable job fingerprint keying
+//!   the persistent verdict cache.
 //!
 //! ## Quick start
 //!
@@ -62,11 +64,11 @@ pub mod refine;
 
 pub use bmc::{BmcConfig, BmcEngine};
 pub use cegar::{CegarConfig, RefinerKind, Verdict, VerificationResult, Verifier, VerifierStats};
-pub use engine::{engine_named, verdict_name, VerificationEngine};
+pub use engine::{verdict_name, VerificationEngine};
 pub use error::{CoreError, CoreResult};
 pub use job::{
-    job_fingerprint, program_structure_id, refiner_name, run_job, EngineSpec, JobOutcome, JobSpec,
-    NO_REFINER,
+    audit, is_conclusive, job_fingerprint, program_structure_id, refiner_name, run_job, Audit,
+    EngineSpec, JobOutcome, JobSpec, DEFAULT_BASELINE_REFINEMENTS, NO_REFINER,
 };
 pub use pathprog::{path_program, PathProgram};
 pub use pdr::{PdrConfig, PdrEngine};

@@ -76,8 +76,8 @@ fn cancelled_runs_emit_no_certificate() {
     let p = corpus::forward();
     let token = CancellationToken::new();
     token.cancel();
-    for engine in [pathinv_core::engine_named("cegar"), pathinv_core::engine_named("bmc")] {
-        let engine = engine.unwrap();
+    for name in ["cegar", "bmc"] {
+        let engine = pathinv_core::EngineSpec::named(name, None).unwrap().build();
         let result = engine.verify_with_cancel(&p, &token).unwrap();
         assert!(
             matches!(result.verdict, Verdict::Cancelled),

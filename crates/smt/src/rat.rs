@@ -333,6 +333,18 @@ impl DeltaRat {
     pub fn scale(self, k: Rat) -> SmtResult<DeltaRat> {
         Ok(DeltaRat { real: self.real.mul(k)?, delta: self.delta.mul(k)? })
     }
+
+    /// Compares two values exactly, by `(real, delta)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SmtError::Overflow`] when a cross-multiplication overflows.
+    pub fn compare(self, other: DeltaRat) -> SmtResult<Ordering> {
+        match self.real.compare(other.real)? {
+            Ordering::Equal => self.delta.compare(other.delta),
+            order => Ok(order),
+        }
+    }
 }
 
 impl PartialOrd for DeltaRat {

@@ -479,17 +479,23 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
         self.conflict = None;
         loop {
             // Find the smallest-index basic variable violating a bound
-            // (Bland's rule guarantees termination).
-            let violated = (0..self.total()).find(|&b| {
+            // (Bland's rule guarantees termination).  Every comparison is
+            // checked, so an overflowing one is an error, not a panic.
+            let mut violated = None;
+            for b in (0..self.total()).filter(|&b| self.rows[b].is_some()) {
                 let v = self.beta[b];
-                self.rows[b].is_some()
-                    && (self.lower[b].is_some_and(|l| v < l)
-                        || self.upper[b].is_some_and(|u| v > u))
-            });
-            let Some(b) = violated else {
+                if self.lower[b].map_or(Ok(false), |l| lt(v, l))? {
+                    violated = Some((b, true));
+                    break;
+                }
+                if self.upper[b].map_or(Ok(false), |u| lt(u, v))? {
+                    violated = Some((b, false));
+                    break;
+                }
+            }
+            let Some((b, lower_violation)) = violated else {
                 return Ok(true);
             };
-            let lower_violation = self.lower[b].is_some_and(|l| self.beta[b] < l);
             let target = if lower_violation { self.lower[b] } else { self.upper[b] };
             // Bland's rule: the smallest non-basic column that can move x_b
             // toward its violated bound.  Moving up needs a positive
@@ -498,15 +504,20 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
             // reverse.  The denominator is positive, so a coefficient's
             // sign is its numerator's.
             let row = self.rows[b].as_ref().expect("violated column is basic");
-            let pivot = row.entries.iter().find(|&&(j, n)| {
-                if (n > 0) == lower_violation {
-                    self.upper[j].is_none_or(|u| self.beta[j] < u)
+            let mut pivot = None;
+            for &(j, n) in &row.entries {
+                let movable = if (n > 0) == lower_violation {
+                    self.upper[j].map_or(Ok(true), |u| lt(self.beta[j], u))?
                 } else {
-                    self.lower[j].is_none_or(|l| self.beta[j] > l)
+                    self.lower[j].map_or(Ok(true), |l| lt(l, self.beta[j]))?
+                };
+                if movable {
+                    pivot = Some(j);
+                    break;
                 }
-            });
+            }
             match pivot {
-                Some(&(j, _)) => {
+                Some(j) => {
                     self.pivot_and_update(b, j, target.expect("bound checked"))?;
                 }
                 None => {
@@ -666,7 +677,7 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
                     if a.is_negative() && bcoef.is_positive() {
                         // Need A + B·δ ≤ 0, i.e. δ ≤ -A/B; halve for strictness.
                         let limit = a.neg()?.div(bcoef)?.div(Rat::int(2))?;
-                        if limit < delta {
+                        if limit.compare(delta)?.is_lt() {
                             delta = limit;
                         }
                     }
@@ -681,6 +692,11 @@ impl<K: Ord + Clone + Debug> IncrementalSimplex<K> {
         }
         Ok(model)
     }
+}
+
+/// `a < b`, decided exactly.
+fn lt(a: DeltaRat, b: DeltaRat) -> SmtResult<bool> {
+    Ok(a.compare(b)?.is_lt())
 }
 
 #[cfg(test)]
@@ -699,6 +715,21 @@ mod tests {
                 cst.holds(&|v: &VarRef| model.get(v).copied().unwrap_or(Rat::ZERO)).unwrap();
             assert!(holds, "model {model:?} violates {cst}");
         }
+    }
+
+    #[test]
+    fn overflowing_bound_comparison_reports_overflow() {
+        // Both bounds fit, but comparing x's value (the first bound) with
+        // the second cross-multiplies past i128: an error, never a panic.
+        let rat = |n: i128, d: i128| Rat::new(n, d).unwrap();
+        let mut lower = LinExpr::scaled_var("x", Rat::MINUS_ONE);
+        lower.add_constant(rat((1 << 100) + 7, (1 << 70) + 1)).unwrap();
+        let mut upper = LinExpr::var("x");
+        upper.add_constant(rat(-(1 << 100) - 11, (1 << 70) + 3)).unwrap();
+        let mut simplex = IncrementalSimplex::new();
+        simplex.push_constraint(&LinConstraint::new(lower, ConstrOp::Le)).unwrap();
+        simplex.push_constraint(&LinConstraint::new(upper, ConstrOp::Le)).unwrap();
+        assert_eq!(simplex.check(), Err(SmtError::Overflow));
     }
 
     #[test]

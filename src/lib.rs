@@ -27,8 +27,8 @@
 #![warn(missing_docs)]
 
 pub use pathinv_core::{
-    engine_named, path_program, BmcConfig, BmcEngine, CegarConfig, CertVerdict, Certificate,
-    CoreError, CoreResult, PathInvariantRefiner, PathPredicateRefiner, PathProgram, PdrConfig,
+    path_program, BmcConfig, BmcEngine, CegarConfig, CertVerdict, Certificate, CoreError,
+    CoreResult, EngineSpec, PathInvariantRefiner, PathPredicateRefiner, PathProgram, PdrConfig,
     PdrEngine, PredicateMap, Refiner, RefinerKind, Verdict, VerificationEngine, VerificationResult,
     Verifier,
 };
