@@ -123,17 +123,25 @@ fn consecution(refuter: &mut Refuter, pre: &Formula, tau: &Formula, post: &Formu
 ///
 /// When the target invariant is a disjunction, the abstract post of a source
 /// state is covered by a *single* target disjunct (the ART's coverage
-/// structure), so coverage is first tried disjunct by disjunct, in order.  A
-/// disjunct `c₁ ∧ … ∧ cₖ` covers the source iff every `source ∧ tau ∧ ¬cᵢ`
-/// is refuted (exact: the negated conjunction is the disjunction of the
-/// negated conjuncts), and the disjuncts share most of their conjuncts, so
-/// each distinct conjunct is refuted at most once per source and transition.
+/// structure), so coverage is first tried disjunct by disjunct.  A disjunct
+/// `c₁ ∧ … ∧ cₖ` covers the source iff every `source ∧ tau ∧ ¬cᵢ` is refuted
+/// (exact: the negated conjunction is the disjunction of the negated
+/// conjuncts), and the disjuncts share most of their conjuncts, so each
+/// distinct conjunct is refuted at most once per source and transition.
 /// Only a source that no single disjunct covers falls back to the general
 /// (branching) refutation.
 ///
-/// A target conjunct that one conjunct of `source ∧ tau` already entails
-/// ([`Premises`]) is refuted without a query, and so is a conjunctive
-/// target all of whose conjuncts are.
+/// ART coverage is syntactic, so the covering disjunct's conjuncts are
+/// mostly the source's own: the disjuncts are tried in ascending order of
+/// their *foreign* conjuncts, those `source ∧ tau` does not state verbatim,
+/// ties in certificate order.  The order cannot change the answer — any
+/// covering disjunct refutes the source, and when none covers the same
+/// general refutation runs — only how many non-covering disjuncts are
+/// refuted first.
+///
+/// A target conjunct that `source ∧ tau` states verbatim, or that one of its
+/// conjuncts entails ([`Premises`]), is refuted without a query, and so is a
+/// conjunctive target all of whose conjuncts are.
 fn consecution_from(
     refuter: &mut Refuter,
     source: &Formula,
@@ -142,10 +150,12 @@ fn consecution_from(
 ) -> Refutation {
     let premises = Premises::new(&[source, tau]);
     if let Formula::Or(parts) = post {
+        let mut targets: Vec<Vec<Formula>> = parts.iter().map(Formula::conjuncts).collect();
+        targets.sort_by_cached_key(|cs| cs.iter().filter(|c| !premises.states(c)).count());
         let mut known: BTreeMap<Formula, Refutation> = BTreeMap::new();
-        for part in parts {
+        for part in targets {
             let mut verdict = Refutation::Refuted;
-            for c in part.conjuncts() {
+            for c in part {
                 let negated = c.clone().not();
                 verdict = *known.entry(c).or_insert_with_key(|c| {
                     if premises.entails(c) {

@@ -14,10 +14,14 @@
 //! (b) Fourier–Motzkin elimination over exact rationals plus integer
 //! coefficient normalization, a ~200-line algorithm, and (c) this crate's
 //! ~1.1k lines of glue (comments and tests excluded).  The glue includes
-//! one shortcut, single-premise entailment ([`Premises`]): it answers a
-//! query `P ∧ ¬c` without elimination only when one premise row and `¬c`,
-//! integer-normalized, contradict each other directly, which is a
+//! two shortcuts ([`Premises`]) that answer a query `P ∧ ¬c` without
+//! elimination: when `c` is literally a top-level conjunct of `P` (so
+//! `c ∧ ¬c` is unsatisfiable in any theory), and when one premise row and
+//! `¬c`, integer-normalized, contradict each other directly, which is a
 //! contradiction Fourier–Motzkin would derive from the same literals.
+//! Consecution tries first the target disjunct with the fewest conjuncts
+//! the source does not state verbatim; the order changes only the work,
+//! never the answer.
 //! A bug anywhere in the engines' abstraction,
 //! refinement, frames, interpolation, simplex, or caching layers is caught
 //! by the audit; only a *matching* bug in the two independent decision

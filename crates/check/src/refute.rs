@@ -58,7 +58,13 @@
 //!   derives a ground contradiction: the rule skips only work that would
 //!   refute the query.  Disequalities, non-linear atoms, array reads and
 //!   atoms over variables the pipeline may treat as arrays are never
-//!   entailed.
+//!   entailed by this rule.
+//! * **Verbatim premise** ([`Premises`]): a query `P ∧ ¬c` whose `c` is
+//!   literally one of the top-level conjuncts of `P` is answered `Refuted`
+//!   without running the pipeline, whatever `c` is — a disequality, an
+//!   array atom or a quantified formula included — because `c ∧ ¬c` is
+//!   unsatisfiable in any theory.  The rule compares formulas, not their
+//!   meaning, so it needs no arithmetic to trust.
 
 use pathinv_ir::formula::{Atom, RelOp};
 use pathinv_ir::{Formula, Symbol, Term, VarRef};
@@ -522,14 +528,16 @@ fn normalize_rows<K: Ord + Clone>(
 /// variable.
 type VarPart = Vec<(VarRef, Rat)>;
 
-/// The linear premises `P` of a family of queries `P ∧ ¬c`, indexed once so
-/// that a conclusion `c` one premise already entails is answered without a
-/// query (the single-premise rule of the module docs).
+/// The premises `P` of a family of queries `P ∧ ¬c`, indexed once so that a
+/// conclusion `c` one premise already entails is answered without a query
+/// (the verbatim and single-premise rules of the module docs).
 ///
-/// Only top-level conjuncts that are linear atoms over integer variables are
-/// indexed; ignoring the rest can only make [`Premises::entails`] answer
-/// `false` more often.
+/// Every top-level conjunct is kept verbatim; only those that are linear
+/// atoms over integer variables are also indexed as rows.  Ignoring the rest
+/// can only make [`Premises::entails`] answer `false` more often.
 pub struct Premises {
+    /// The top-level conjuncts, as written.
+    verbatim: BTreeSet<Formula>,
     /// Per integer-normalized variable part `e`, the largest constant `m` of
     /// a premise row `e + m ≤ 0`.  An equation `e + m = 0` counts both ways,
     /// as `e + m ≤ 0` and as `−e − m ≤ 0`.
@@ -580,24 +588,37 @@ impl Premises {
             }
         }
 
-        let mut premises_index = Premises { bounds: BTreeMap::new(), arrays };
+        let mut premises_index =
+            Premises { verbatim: BTreeSet::new(), bounds: BTreeMap::new(), arrays };
         for p in premises {
             for conjunct in p.conjuncts() {
-                let Formula::Atom(a) = conjunct else { continue };
-                let Some((key, m, op)) = premises_index.row(&a) else { continue };
-                if op == ConstrOp::Eq {
-                    if let Some((neg_key, neg_m)) = negated(&key, m) {
-                        premises_index.tighten(neg_key, neg_m);
+                if let Formula::Atom(a) = &conjunct {
+                    if let Some((key, m, op)) = premises_index.row(a) {
+                        if op == ConstrOp::Eq {
+                            if let Some((neg_key, neg_m)) = negated(&key, m) {
+                                premises_index.tighten(neg_key, neg_m);
+                            }
+                        }
+                        premises_index.tighten(key, m);
                     }
                 }
-                premises_index.tighten(key, m);
+                premises_index.verbatim.insert(conjunct);
             }
         }
         premises_index
     }
 
-    /// Whether one premise entails `c`, so that `P ∧ ¬c` is refuted.
+    /// Whether `c` is literally one of the top-level conjuncts.
+    pub(crate) fn states(&self, c: &Formula) -> bool {
+        self.verbatim.contains(c)
+    }
+
+    /// Whether one premise entails `c`, so that `P ∧ ¬c` is refuted: `c` is a
+    /// premise verbatim, or one premise row entails it.
     pub fn entails(&self, c: &Formula) -> bool {
+        if self.states(c) {
+            return true;
+        }
         let Formula::Atom(a) = c else { return false };
         let Some((key, k, op)) = self.row(a) else { return false };
         let implied = |key: &VarPart, k: Rat| self.bounds.get(key).is_some_and(|m| *m >= k);

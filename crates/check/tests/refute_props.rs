@@ -5,9 +5,10 @@
 //! `Refuter::refute` must not answer `Refuted` — a relaxation or split that
 //! drops or rewrites a literal unsoundly shows up as a false refutation.
 //!
-//! The single-premise rule (`Premises`) answers `Refuted` for `P ∧ ¬c`
-//! without a query, so it must claim only what the refuter proves: whenever
-//! `Premises::entails(c)` holds, `Refuter::refute(P ∧ ¬c)` is `Refuted`.
+//! The single-premise and verbatim-premise rules (`Premises`) answer
+//! `Refuted` for `P ∧ ¬c` without a query, so on linear atoms they must
+//! claim only what the refuter proves: whenever `Premises::entails(c)`
+//! holds, `Refuter::refute(P ∧ ¬c)` is `Refuted`.
 
 use pathinv_check::{CheckLimits, Premises, Refutation, Refuter};
 use pathinv_ir::{Formula as F, Term};
@@ -103,18 +104,19 @@ fn query_strategy() -> impl Strategy<Value = Query> {
         .prop_map(|(vars, literals)| Query { vars, literals })
 }
 
-/// Premises and a conclusion for the single-premise rule: the conclusion
-/// is a random literal, or one premise scaled by a positive factor,
-/// optionally flipped (`e ⋈ k` becomes `−e ⋈ −k`), with its operator
-/// redrawn and its constant shifted — so it is entailed by that premise in
-/// some cases and not in others.
+/// Premises and a conclusion for the premise rules: the conclusion is a
+/// random literal, one premise verbatim (disequalities included), or one
+/// premise scaled by a positive factor, optionally flipped (`e ⋈ k` becomes
+/// `−e ⋈ −k`), with its operator redrawn and its constant shifted — so it
+/// is entailed by that premise in some cases and not in others.
 fn entailment_strategy() -> impl Strategy<Value = (Query, Literal)> {
-    (query_strategy(), 0usize..8, 1i128..=3, (0u8..2, -1i128..=2), literal_strategy(), 0u8..3)
+    (query_strategy(), 0usize..8, 1i128..=3, (0u8..2, -1i128..=2), literal_strategy(), 0u8..4)
         .prop_map(|(query, pick, scale, (flip, shift), random, kind)| {
             let premise = query.literals[pick % query.literals.len()];
             let sign = if flip == 1 { -scale } else { scale };
             let conclusion = match kind {
                 0 => random,
+                3 => premise,
                 _ => Literal {
                     coeffs: premise.coeffs.map(|c| sign * c),
                     op: if kind == 1 { premise.op } else { random.op },
@@ -128,7 +130,8 @@ fn entailment_strategy() -> impl Strategy<Value = (Query, Literal)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// A conclusion one premise entails is refuted by the refuter as well.
+    /// A conclusion one premise entails, or states verbatim, is refuted by
+    /// the refuter as well.
     #[test]
     fn single_premise_entailment_implies_refutation(case in entailment_strategy()) {
         let (query, conclusion) = case;
@@ -225,18 +228,29 @@ fn strict_premises_and_conclusions_tighten_to_le() {
     assert_entailment(&F::le(x.clone(), Term::int(4)), &[F::lt(x, Term::int(5))], &[]);
 }
 
+/// Asserts that `premises` entail `c` by the verbatim rule alone: `c ∧ ¬c`
+/// is unsatisfiable in any theory, also where the refuter's weakenings
+/// (dropped non-linear atoms and array disequalities) cannot show it.
+fn assert_verbatim(premises: &F, c: &F) {
+    assert!(Premises::new(&[premises]).entails(c), "{premises} should entail {c}");
+}
+
 #[test]
-fn disequalities_array_reads_and_nonlinear_atoms_are_never_entailed() {
+fn disequalities_array_reads_and_nonlinear_atoms_are_entailed_only_verbatim() {
     let (x, y, i) = (Term::var("x"), Term::var("y"), Term::var("i"));
     let (a, b) = (Term::var("a"), Term::var("b"));
     // Disequalities, as premise or as conclusion.
     let ne = F::ne(x.clone(), Term::int(0));
-    assert_entailment(&ne, &[], std::slice::from_ref(&ne));
+    assert_entailment(&ne, std::slice::from_ref(&ne), &[F::ne(Term::int(0), x.clone())]);
     assert_entailment(&F::eq(x.clone(), Term::int(0)), &[], &[F::ne(x.clone(), Term::int(1))]);
     // Array reads.
     let read = a.clone().select(i.clone());
     let read_is_zero = F::eq(read.clone(), Term::int(0));
-    assert_entailment(&read_is_zero, &[], std::slice::from_ref(&read_is_zero));
+    assert_entailment(
+        &read_is_zero,
+        std::slice::from_ref(&read_is_zero),
+        &[F::eq(Term::int(0), read.clone()), F::le(read.clone(), Term::int(0))],
+    );
     assert_entailment(
         &F::le(read.clone(), Term::int(3)),
         &[],
@@ -245,17 +259,46 @@ fn disequalities_array_reads_and_nonlinear_atoms_are_never_entailed() {
     // Variables the refuter may treat as arrays: select bases, their
     // aliases, and variables defined by a store.
     let alias = F::eq(a.clone(), b.clone());
-    assert_entailment(&F::and(vec![alias.clone(), read_is_zero]), &[], &[alias]);
+    let aliased = F::and(vec![alias.clone(), read_is_zero]);
+    assert_entailment(&aliased, &[], &[F::eq(b.clone(), a.clone())]);
+    assert_verbatim(&aliased, &alias);
     let stored = Term::var("c");
     let premises = F::and(vec![
         F::eq(stored.clone(), a.store(i, Term::int(0))),
         F::eq(stored.clone(), b.clone()),
     ]);
-    assert_entailment(&premises, &[], &[F::eq(b, stored)]);
+    assert_entailment(&premises, &[], &[F::eq(b.clone(), stored.clone())]);
+    assert_verbatim(&premises, &F::eq(stored, b));
     // Non-linear atoms.
     let product = x.clone().mul(y);
-    assert_entailment(&F::le(product.clone(), Term::int(3)), &[], &[F::le(product, Term::int(5))]);
+    let small = F::le(product.clone(), Term::int(3));
+    assert_entailment(&small, &[], &[F::le(product, Term::int(5))]);
+    assert_verbatim(&small, &small);
     // Only top-level conjuncts are premises.
     let either = F::or(vec![F::le(x.clone(), Term::int(1)), F::le(x.clone(), Term::int(2))]);
-    assert_entailment(&either, &[], &[F::le(x, Term::int(2))]);
+    assert_entailment(&either, std::slice::from_ref(&either), &[F::le(x, Term::int(2))]);
+}
+
+/// A quantified array invariant carried from the source disjunct into the
+/// target is entailed verbatim, and the refuter refutes it as well: the
+/// negated quantifier's skolem witness instantiates the premise.
+#[test]
+fn quantified_premises_are_entailed_verbatim() {
+    let (a, n, i) = (Term::var("a"), Term::var("n"), Term::var("i"));
+    let k = pathinv_ir::Symbol::intern("k");
+    let in_range =
+        F::and(vec![F::le(Term::int(0), Term::Bound(k)), F::lt(Term::Bound(k), n.clone())]);
+    let zeroed =
+        F::forall(vec![k], in_range.implies(F::eq(a.clone().select(Term::Bound(k)), Term::int(0))));
+    let premises = F::and(vec![
+        zeroed.clone(),
+        F::le(i.clone(), n.clone()),
+        F::ne(a.select(i.clone()), Term::int(1)),
+    ]);
+    let shorter = F::forall(
+        vec![k],
+        F::lt(Term::Bound(k), i)
+            .implies(F::eq(Term::var("a").select(Term::Bound(k)), Term::int(0))),
+    );
+    assert_entailment(&premises, &[zeroed], &[shorter]);
 }

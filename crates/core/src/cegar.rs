@@ -379,6 +379,8 @@ impl Verifier {
         }
 
         let mut consecutive_fallbacks = 0usize;
+        // What each refinement did, for the detail of an `unknown` verdict.
+        let mut outcomes: Vec<String> = Vec::new();
         for refinement in 0..=self.config.max_refinements {
             let phase = Instant::now();
             let snap = stats_snapshot();
@@ -502,11 +504,12 @@ impl Verifier {
             stats.refine_solver_calls += delta.sat_checks;
             stats.refine_simplex_calls += delta.simplex_calls;
             let refined = check_budget!(refined, refinement, "refinement (refine)");
-            if refined.fell_back {
+            if refined.fallback.is_some() {
                 consecutive_fallbacks += 1;
             } else {
                 consecutive_fallbacks = 0;
             }
+            let offered: usize = refined.predicates.values().map(Vec::len).sum();
             let mut added = 0;
             for (l, preds) in refined.predicates {
                 for p in preds {
@@ -515,12 +518,23 @@ impl Verifier {
                     }
                 }
             }
+            outcomes.push(match refined.fallback {
+                Some(why) => why,
+                None => format!("{offered} predicates, {added} new"),
+            });
+            let per_refinement = || {
+                let listed: Vec<String> =
+                    outcomes.iter().enumerate().map(|(i, o)| format!("{}: {o}", i + 1)).collect();
+                format!("refinements: {}", listed.join("; "))
+            };
             if added == 0 {
                 return Ok(VerificationResult {
                     verdict: Verdict::Unknown {
                         reason: format!(
-                            "refinement with {} made no progress on a spurious counterexample",
-                            refiner.name()
+                            "refinement with {} made no progress on a spurious counterexample \
+                             ({})",
+                            refiner.name(),
+                            per_refinement()
                         ),
                     },
                     refinements: refinement + 1,
@@ -546,7 +560,8 @@ impl Verifier {
                             "invariant synthesis failed on {consecutive_fallbacks} consecutive \
                              refinements; the counterexample family has no invariant within the \
                              template language, so further refinement would only unroll the loop \
-                             (combine with a falsification engine, §6)"
+                             (combine with a falsification engine, §6; {})",
+                            per_refinement()
                         ),
                     },
                     refinements: refinement + 1,
@@ -825,6 +840,26 @@ mod tests {
             }
             other => panic!("expected Unknown, got {other:?}"),
         }
+    }
+
+    /// An `unknown` run says why: PARTITION's detail names each
+    /// refinement's synthesis outcome, the predicates it produced and how
+    /// many were new, or why synthesis failed.
+    #[test]
+    fn an_unknown_detail_names_each_refinements_synthesis_outcome() {
+        let result = Verifier::path_invariants().verify(&corpus::partition()).unwrap();
+        let Verdict::Unknown { reason } = result.verdict else {
+            panic!("PARTITION is not decided by path invariants: {:?}", result.verdict);
+        };
+        assert_eq!(result.refinements, 4);
+        assert!(
+            reason.ends_with(
+                "made no progress on a spurious counterexample (refinements: \
+                 1: 10 predicates, 10 new; 2: 14 predicates, 9 new; \
+                 3: fractional array bound; 4: fractional array bound)"
+            ),
+            "{reason}"
+        );
     }
 
     #[test]

@@ -31,24 +31,26 @@ pub type NewPredicates = BTreeMap<Loc, Vec<Formula>>;
 pub struct Refinement {
     /// The new predicates, keyed by program location.
     pub predicates: NewPredicates,
-    /// `true` when the refiner's *primary* strategy failed and the
-    /// predicates came from a fallback.  The path-invariant refiner sets
-    /// this when invariant synthesis found no invariant map and finite-path
+    /// Why the refiner's *primary* strategy failed, when the predicates
+    /// came from a fallback.  The path-invariant refiner sets this when
+    /// invariant synthesis found no invariant map and finite-path
     /// refutation was used instead — the signal the CEGAR driver uses to
     /// detect that refinement has degenerated into the divergent baseline
-    /// behaviour (see [`CegarConfig::max_fallback_refinements`](crate::CegarConfig)).
-    pub fell_back: bool,
+    /// behaviour (see [`CegarConfig::max_fallback_refinements`](crate::CegarConfig)),
+    /// and the reason an `unknown` run's detail names.
+    pub fallback: Option<String>,
 }
 
 impl Refinement {
     /// A primary-strategy refinement producing `predicates`.
     pub fn primary(predicates: NewPredicates) -> Refinement {
-        Refinement { predicates, fell_back: false }
+        Refinement { predicates, fallback: None }
     }
 
-    /// A fallback refinement producing `predicates`.
-    pub fn fallback(predicates: NewPredicates) -> Refinement {
-        Refinement { predicates, fell_back: true }
+    /// A fallback refinement producing `predicates`, after the primary
+    /// strategy failed for `reason`.
+    pub fn fallback(predicates: NewPredicates, reason: String) -> Refinement {
+        Refinement { predicates, fallback: Some(reason) }
     }
 }
 
@@ -285,10 +287,12 @@ impl PathInvariantRefiner {
                 let preds = PathPredicateRefiner::new().path_predicates(program, path)?;
                 Ok((Refinement::primary(preds), generated.attempts))
             }
-            Err(InvgenError::NoInvariant { .. })
-            | Err(InvgenError::Unsupported { .. })
-            | Err(InvgenError::Smt(SmtError::Unsupported { .. }))
-            | Err(InvgenError::Smt(SmtError::Budget { .. })) => {
+            Err(
+                e @ (InvgenError::NoInvariant { .. }
+                | InvgenError::Unsupported { .. }
+                | InvgenError::Smt(SmtError::Unsupported { .. })
+                | InvgenError::Smt(SmtError::Budget { .. })),
+            ) => {
                 // No invariant within the template language, the path program
                 // is outside the supported template fragment (e.g. fractional
                 // template coefficients in an array bound), or the synthesis
@@ -297,10 +301,28 @@ impl PathInvariantRefiner {
                 // with falsification methods (§6).  Marked as a fallback so
                 // the CEGAR driver can detect repeated synthesis failure.
                 let preds = PathPredicateRefiner::new().path_predicates(program, path)?;
-                Ok((Refinement::fallback(preds), Vec::new()))
+                Ok((Refinement::fallback(preds, synthesis_failure(&e)), Vec::new()))
             }
             Err(other) => Err(CoreError::from(other)),
         }
+    }
+}
+
+/// Names why synthesis failed, in a few words, for the detail of a run that
+/// ends `unknown`: a fractional array bound, the first verification
+/// condition without a solution (of the last template tried), or the
+/// error itself, such as an unsupported construct.
+fn synthesis_failure(e: &InvgenError) -> String {
+    let text = match e {
+        InvgenError::Unsupported { message } => return format!("unsupported: {message}"),
+        other => other.to_string(),
+    };
+    if text.contains("fractional template coefficients in an array bound") {
+        return "fractional array bound".to_string();
+    }
+    match text.split_once("condition `").and_then(|(_, rest)| rest.split_once('`')) {
+        Some((label, _)) => format!("no solution at condition `{label}`"),
+        None => text,
     }
 }
 
@@ -463,7 +485,7 @@ mod tests {
         let path = Path::new(&p, corpus::forward_counterexample(&p)).unwrap();
         let refiner = PathInvariantRefiner::new();
         let (refinement, attempts) = refiner.refine_with_attempts(&p, &path).unwrap();
-        assert!(!refinement.fell_back, "FORWARD synthesis must succeed");
+        assert_eq!(refinement.fallback, None, "FORWARD synthesis must succeed");
         let preds = refinement.predicates;
         assert!(!attempts.is_empty(), "the template attempts must be reported");
         let l1 = corpus::find_loc(&p, "L1");

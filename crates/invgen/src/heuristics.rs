@@ -74,6 +74,7 @@ impl PathInvariantGenerator {
         let scalars: Vec<Symbol> = program.int_vars();
         let array_goal = error_array_goal(program)?;
         let mut attempts = Vec::new();
+        let mut last_failure = String::new();
 
         let proposals: Vec<(String, TemplateMap)> = match &array_goal {
             Some((array, op)) => {
@@ -128,7 +129,8 @@ impl PathInvariantGenerator {
                         attempts,
                     });
                 }
-                Err(InvgenError::NoInvariant { .. }) => {
+                Err(InvgenError::NoInvariant { message }) => {
+                    last_failure = message;
                     attempts.push(TemplateAttempt {
                         description,
                         succeeded: false,
@@ -141,7 +143,7 @@ impl PathInvariantGenerator {
         }
         let tried: Vec<String> = attempts.iter().map(|a| a.description.clone()).collect();
         Err(InvgenError::no_invariant(format!(
-            "no template in the refinement sequence succeeded (tried: {})",
+            "no template in the refinement sequence succeeded (tried: {}; the last: {last_failure})",
             tried.join(", ")
         )))
     }

@@ -3,7 +3,9 @@
 //! format admits is exercised here against `pathinv-check`:
 //!
 //! * invariant maps — weakened entry, unblocked error location, a dropped
-//!   conjunct, an invariant attached to the wrong location;
+//!   conjunct (also one still stated verbatim elsewhere), an invariant
+//!   attached to the wrong location, and a non-covering decoy disjunct that
+//!   consecution tries first;
 //! * traces — perturbed input values (property-tested across deltas),
 //!   perturbed havoc results, truncated and emptied step sequences,
 //!   non-contiguous steps.
@@ -119,6 +121,64 @@ fn dropping_any_conjunct_of_the_assert_invariant_is_rejected() {
             "dropped conjunct (kept only {keep} == 1) must be rejected"
         );
     }
+}
+
+/// [`straight_line_cert`] with the invariant after `y = 1` replaced by the
+/// disjunction of `disjuncts`, in this order.
+fn with_disjuncts_after_y(p: &Program, disjuncts: Vec<Formula>) -> Certificate {
+    let (mut cert, _, after_y) = straight_line_cert(p);
+    cert.invariants.insert(after_y, Formula::Or(disjuncts));
+    Certificate::Inductive(cert)
+}
+
+fn conj(parts: &[Formula]) -> Formula {
+    Formula::and(parts.to_vec())
+}
+
+/// Consecution tries first the target disjunct with the fewest conjuncts
+/// that the source and `τ` do not state verbatim.  A decoy with *no* such
+/// conjunct cannot exist without covering (each of its conjuncts is then
+/// refuted verbatim), so the decoy here has at most two, against the
+/// covering disjunct's four: it is empty (`x == 1 && x >= 5`), sorted
+/// first although listed last, and does not cover the post of `y = 1`.
+/// The audit must move on to the covering disjunct and stay valid.
+#[test]
+fn a_non_covering_decoy_sorted_first_does_not_change_the_verdict() {
+    let p = straight_line();
+    let (x, y) = (Term::var("x"), Term::var("y"));
+    let one = || Term::int(1);
+    let decoy = conj(&[
+        Formula::eq(x.clone(), one()),
+        Formula::eq(y.clone(), one()),
+        Formula::ge(x.clone(), Term::int(5)),
+    ]);
+    let covering = conj(&[
+        Formula::ge(x.clone(), one()),
+        Formula::le(x, one()),
+        Formula::ge(y.clone(), one()),
+        Formula::le(y, one()),
+    ]);
+    assert!(checked(&p, &with_disjuncts_after_y(&p, vec![covering.clone(), decoy.clone()])));
+    assert!(checked(&p, &with_disjuncts_after_y(&p, vec![decoy.clone(), covering])));
+    // The decoy alone does not cover the post of `y = 1`.
+    assert!(!checked(&p, &with_disjuncts_after_y(&p, vec![decoy])));
+}
+
+/// A conjunct dropped from a target disjunct is not restored by copies of
+/// it elsewhere: `x == 1` stays verbatim in the source invariant (after
+/// `x = 1`) and in a sibling disjunct, yet without it the first disjunct
+/// reaches the error location, and the certificate is rejected.
+#[test]
+fn a_dropped_conjunct_carried_verbatim_elsewhere_is_still_rejected() {
+    let p = straight_line();
+    let (x, y) = (Term::var("x"), Term::var("y"));
+    let x1 = Formula::eq(x.clone(), Term::int(1));
+    let y1 = Formula::eq(y, Term::int(1));
+    let sibling = conj(&[x1.clone(), y1.clone(), Formula::ge(x, Term::int(5))]);
+    let intact = with_disjuncts_after_y(&p, vec![conj(&[x1, y1.clone()]), sibling.clone()]);
+    assert!(checked(&p, &intact));
+    let dropped = with_disjuncts_after_y(&p, vec![y1, sibling]);
+    assert!(!checked(&p, &dropped), "dropping `x == 1` must be rejected");
 }
 
 /// Attaching a correct fact to the wrong location: claiming `x == 1 && y ==

@@ -12,9 +12,12 @@
 //! `tests/golden/corpus.json`.
 
 use path_invariants::{BmcEngine, PdrEngine, Verdict, VerificationEngine, Verifier};
-use pathinv_check::{check_certificate, Certificate, CheckLimits};
+use pathinv_bench::generator::{generate_campaign, Family};
+use pathinv_check::{check_certificate, CertVerdict, Certificate, CheckLimits};
 use pathinv_cli::{corpus_programs, make_tasks, run_batch, EngineChoice, RefinerChoice};
+use pathinv_core::{run_job, CancellationToken, EngineSpec};
 use pathinv_ir::exec::replay;
+use pathinv_ir::{parse_program, Formula, Program};
 
 fn jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -124,25 +127,161 @@ fn all_engines_emit_replayable_trace_certificates_in_the_same_format() {
     }
 }
 
-/// Split-budget ratchet on the checker's two most split-hungry corpus
-/// audits.  FORWARD's invariant disjuncts carry five disequalities each;
-/// splitting a disequality only when the relaxation fails, and refuting
-/// each consecution conjunct once, gets both audits through 548 and 651
-/// splits, while eager splits with whole-disjunct queries need 15,441 and
-/// 13,845 — the budget of 1,500 separates the two.
+/// `fz135_nested` of the generated campaign with seed 1: nested counting
+/// loops, whose CEGAR certificate holds many disjuncts per location.
+const NESTED_SRC: &str = "proc fz135_nested(n: int, m: int) {
+    assume(n >= 0);
+    assume(n <= 4);
+    assume(m >= 0);
+    assume(m <= 3);
+    var i: int;
+    var j: int;
+    var c: int;
+    c = 0;
+    j = 0;
+    i = 0;
+    while (i < n) {
+        j = 0;
+        while (j < m) {
+            c = c + 1;
+            j = j + 1;
+        }
+        assert(j == m);
+        i = i + 1;
+    }
+    assert(i == n);
+}";
+
+/// `fz37_partition` of the same campaign: a loop that grows one of two
+/// counters per iteration.
+const PARTITION_SRC: &str = "proc fz37_partition() {
+    var n: int;
+    havoc n;
+    assume(n >= 0);
+    assume(n <= 2);
+    var i: int;
+    var lo: int;
+    var hi: int;
+    i = 0;
+    lo = 0;
+    hi = 0;
+    while (i < n) {
+        if (*) {
+            lo = lo + 2;
+        } else {
+            hi = hi + 2;
+        }
+        i = i + 1;
+    }
+    assert(lo + hi == 2 * i);
+}";
+
+/// Work ratchet on the checker's consecution, counted in budget units
+/// rather than milliseconds.  A target conjunct the source or `τ` states
+/// verbatim is refuted without a query, and the target disjunct with the
+/// fewest other conjuncts is tried first.  Without the two rules these
+/// audits need (smallest budgets, by bisection) 5,250 splits and 14,491
+/// eliminations (INITCHECK), 5,583 and 15,416 (suite/init_check), 444 and
+/// 1,834 (FORWARD), 523 and 1,999 (suite/forward), 2,404 and 10,145
+/// (`fz135_nested`), 1,630 and 6,185 (`fz37_partition`); with them 1,253
+/// and 3,383, the same, 72 and 496, 93 and 544, 74 and 954, 226 and 1,104.
+/// The budgets below leave about twice that headroom, since elimination
+/// counts move a little with the symbol interning order of the process.
 #[test]
-fn forward_certificates_validate_within_a_small_split_budget() {
-    let limits = CheckLimits { max_splits: 1_500, ..Default::default() };
-    let programs: Vec<_> = corpus_programs()
+fn consecution_audits_fit_budgets_that_need_the_covering_disjunct_first() {
+    let mut programs: Vec<(String, Program)> = corpus_programs()
         .into_iter()
-        .filter(|(name, _)| name == "FORWARD" || name == "suite/forward")
+        .filter(|(name, _)| {
+            ["INITCHECK", "suite/init_check", "FORWARD", "suite/forward"].contains(&name.as_str())
+        })
         .collect();
-    assert_eq!(programs.len(), 2);
+    assert_eq!(programs.len(), 4);
+    for src in [NESTED_SRC, PARTITION_SRC] {
+        let program = parse_program(src).unwrap();
+        programs.push((program.name().to_string(), program));
+    }
+    let mut failures = Vec::new();
     for (name, program) in programs {
+        let (max_splits, max_eliminations) = match name.as_str() {
+            "INITCHECK" | "suite/init_check" => (2_500, 7_000),
+            "fz135_nested" => (300, 2_500),
+            "fz37_partition" => (500, 2_500),
+            "FORWARD" | "suite/forward" => (200, 1_100),
+            other => unreachable!("{other}"),
+        };
+        let limits = CheckLimits { max_splits, max_eliminations, ..Default::default() };
         let result = Verifier::path_invariants().verify(&program).unwrap();
         assert!(matches!(result.verdict, Verdict::Safe), "{name}: {:?}", result.verdict);
         let cert = result.certificate.expect("a safe verdict carries a certificate");
+        assert!(matches!(cert, Certificate::Inductive(_)), "{name}: {}", cert.kind());
         let v = check_certificate(&program, &cert, &limits);
-        assert!(v.is_valid(), "{name}: {:?}", v.reason());
+        if v != CertVerdict::Valid {
+            failures.push(format!(
+                "{name} within {max_splits} splits, {max_eliminations} eliminations: {v:?}"
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "audits over budget:\n  {}", failures.join("\n  "));
+}
+
+/// The certificate with every disjunctive invariant's disjuncts permuted.
+fn permuted(cert: &Certificate, permute: impl Fn(&mut Vec<Formula>)) -> Certificate {
+    let Certificate::Inductive(c) = cert else { unreachable!("only inductive certificates") };
+    let mut c = c.clone();
+    for inv in c.invariants.values_mut() {
+        if let Formula::Or(parts) = inv {
+            permute(parts);
+        }
+    }
+    Certificate::Inductive(c)
+}
+
+/// Disjunct order is not part of a proof: the checker reorders the
+/// disjuncts (fewest conjuncts the source does not state first), and any
+/// covering disjunct refutes the source, so reversing or rotating the
+/// disjuncts of every location leaves each inductive certificate valid.
+/// Covers every inductive certificate of the corpus portfolio and of the
+/// nested and partition programs of the generated campaign with seed 1.
+#[test]
+fn permuting_invariant_disjuncts_keeps_inductive_certificates_valid() {
+    let mut certified: Vec<(String, Program, Certificate)> = Vec::new();
+    for t in make_tasks(corpus_programs(), EngineChoice::Portfolio, RefinerChoice::Both, None) {
+        if matches!(t.engine, EngineSpec::Bmc(_)) {
+            continue; // bounded-unroll certificates carry no invariants
+        }
+        let outcome = run_job(&t.job_spec(), &t.program, &CancellationToken::new());
+        if let Some(cert @ Certificate::Inductive(_)) = outcome.certificate {
+            let label = format!(
+                "{}/{}/{}",
+                t.program_name,
+                t.engine.engine_name(),
+                t.engine.refiner_name()
+            );
+            certified.push((label, t.program, cert));
+        }
+    }
+    let corpus_certificates = certified.len();
+    assert!(corpus_certificates >= 10, "only {corpus_certificates} corpus certificates");
+    for g in generate_campaign(1, 200).programs {
+        if !matches!(g.scenario.family, Family::Nested | Family::Partition) {
+            continue;
+        }
+        let result = Verifier::path_invariants().verify(&g.program).unwrap();
+        if let Some(cert @ Certificate::Inductive(_)) = result.certificate {
+            certified.push((g.name, g.program, cert));
+        }
+    }
+    assert!(certified.len() >= corpus_certificates + 40, "{} certificates", certified.len());
+    let limits = CheckLimits::default();
+    for (label, program, cert) in &certified {
+        let reversed = permuted(cert, |parts| parts.reverse());
+        let rotated = permuted(cert, |parts| parts.rotate_left(1));
+        for (how, c) in [("reversed", reversed), ("rotated", rotated)] {
+            assert_eq!(
+                check_certificate(program, &c, &limits),
+                CertVerdict::Valid,
+                "{label} {how}"
+            );
+        }
     }
 }

@@ -62,7 +62,7 @@ fn initcheck_quantified_path_invariants() {
     // finite-path fallback) and tracks quantified predicates.
     let refiner = PathInvariantRefiner::new();
     let refinement = path_invariants::Refiner::refine(&refiner, &program, &cex).unwrap();
-    assert!(!refinement.fell_back, "the Figure 2(b) path program must synthesise");
+    assert_eq!(refinement.fallback, None, "the Figure 2(b) path program must synthesise");
     assert!(
         refinement.predicates.values().flatten().any(pathinv_ir::Formula::has_quantifier),
         "refinement must track a quantified predicate"
